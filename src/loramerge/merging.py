@@ -166,14 +166,18 @@ def _trim_count(density: float, size: int) -> int:
 
 
 def _trim_values(values: np.ndarray, density: float) -> np.ndarray:
-    if density == 1.0:
-        return values.copy()
     flat = values.ravel()
     keep = _trim_count(density, flat.size)
-    # stable sort on -|v|: equal magnitudes keep the lower flat index
-    order = np.argsort(-np.abs(flat), kind="stable")
-    mask = np.zeros(flat.size, dtype=bool)
-    mask[order[:keep]] = True
+    if keep >= flat.size:
+        return values
+    # keep the `keep` largest magnitudes; equal magnitudes keep the lower
+    # flat index, as a stable sort on -|v| would
+    mag = np.abs(flat)
+    kth = flat.size - keep
+    threshold = np.partition(mag, kth)[kth]
+    mask = mag > threshold
+    ties = np.flatnonzero(mag == threshold)
+    mask[ties[: keep - np.count_nonzero(mask)]] = True
     return np.where(mask, flat, np.float32(0.0)).reshape(values.shape)
 
 
@@ -210,20 +214,35 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
 
 def _elect(values: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     total = np.zeros(values[0].shape, dtype=np.float64)
+    term = np.empty_like(total)
     for w, v in zip(weights, values):
-        total += w * v.astype(np.float64)
-    return np.sign(total).astype(np.int8)
+        np.multiply(v, w, out=term, dtype=np.float64)
+        total += term
+    return np.sign(total, out=total).astype(np.int8)
 
 
 def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     numer = np.zeros(signs.shape, dtype=np.float64)
     denom = np.zeros(signs.shape, dtype=np.float64)
+    term = np.empty(signs.shape, dtype=np.float64)
+    elected = signs != 0
     for w, v in zip(weights, values):
-        match = (np.sign(v) == signs) & (signs != 0)
-        numer += np.where(match, w * v.astype(np.float64), 0.0)
-        denom += np.where(match, w, 0.0)
-    out = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0)
-    return out.astype(np.float32)
+        match = (np.sign(v) == signs) & elected
+        np.multiply(v, w, out=term, dtype=np.float64)
+        term *= match
+        numer += term
+        np.multiply(match, w, out=term)
+        denom += term
+    # entries no model matches (denom 0) come out as +0.0
+    term.fill(0.0)
+    np.divide(numer, denom, out=term, where=denom > 0)
+    return term.astype(np.float32)
+
+
+def _ties_layer(values: Sequence[np.ndarray], density: float, weights: np.ndarray) -> np.ndarray:
+    """Trim, elect sign and disjoint-merge one layer across the models."""
+    trimmed = [_trim_values(v, density) for v in values]
+    return _disjoint(trimmed, _elect(trimmed, weights), weights)
 
 
 def elect_sign(
@@ -234,7 +253,7 @@ def elect_sign(
     Entries are int8 in {-1, 0, +1}; an exact zero sum stays 0.
     """
     names = _aligned_layers(trimmed)
-    w = _as_weights(weights, len(trimmed))
+    w = MergeConfig(weights=weights).weight_vector(len(trimmed))
     return {
         layer: _elect([d.layers[layer].values for d in trimmed], w) for layer in names
     }
@@ -249,7 +268,7 @@ def disjoint_merge(
     names = _aligned_layers(trimmed)
     if sorted(signs) != names:
         raise AlignmentError("sign map layers do not match the inputs")
-    w = _as_weights(weights, len(trimmed))
+    w = MergeConfig(weights=weights).weight_vector(len(trimmed))
     layers = {
         layer: TensorBlock(
             layer, _disjoint([d.layers[layer].values for d in trimmed], signs[layer], w)
@@ -257,17 +276,6 @@ def disjoint_merge(
         for layer in names
     }
     return DeltaMap(layers, _joint_label(trimmed))
-
-
-def _as_weights(weights: Sequence[float] | None, count: int) -> np.ndarray:
-    if weights is None:
-        return np.ones(count, dtype=np.float64)
-    w = np.asarray([float(x) for x in weights], dtype=np.float64)
-    if w.size != count:
-        raise ParameterError(f"{w.size} weights for {count} input models")
-    if not (np.isfinite(w).all() and (w > 0).all()):
-        raise ParameterError("weights must be positive finite numbers")
-    return w
 
 
 def _joint_label(deltas: Sequence[DeltaMap]) -> str:
@@ -278,13 +286,12 @@ def ties_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     """Trim, elect sign, and disjoint-merge each layer."""
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
-    layers: dict[str, TensorBlock] = {}
-    for layer in names:
-        values = [
-            _trim_values(d.layers[layer].values, config.density) for d in deltas
-        ]
-        signs = _elect(values, w)
-        layers[layer] = TensorBlock(layer, _disjoint(values, signs, w))
+    layers = {
+        layer: TensorBlock(
+            layer, _ties_layer([d.layers[layer].values for d in deltas], config.density, w)
+        )
+        for layer in names
+    }
     return DeltaMap(layers, _joint_label(deltas))
 
 
@@ -337,9 +344,7 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     w = config.weight_vector(len(deltas))
     layers: dict[str, TensorBlock] = {}
     for layer, fac in factors.items():
-        values = [_trim_values(p.values, config.density) for p in fac.v_parts]
-        signs = _elect(values, w)
-        merged = _disjoint(values, signs, w)
+        merged = _ties_layer([p.values for p in fac.v_parts], config.density, w)
         reconstructed = fac.u.values.astype(np.float64) @ merged.astype(np.float64)
         layers[layer] = TensorBlock(layer, reconstructed.astype(np.float32))
     return DeltaMap(layers, _joint_label(deltas))

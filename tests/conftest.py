@@ -1,10 +1,20 @@
 import json
 import math
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
+import loramerge
 from loramerge import DeltaMap, LoraAdapter, TensorBlock
+
+
+def pytest_configure(config):
+    # `python -m loramerge` children must import the package under test, also
+    # from a checkout that is not installed (see `pythonpath` in pyproject.toml)
+    src = str(Path(loramerge.__file__).resolve().parent.parent)
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 def write_raw_container(path, header: dict, payload: bytes) -> None:

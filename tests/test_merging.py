@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from loramerge import (
     ties_merge,
     trim,
 )
-from loramerge.merging import _trim_count
+from loramerge.merging import _disjoint, _trim_count, _trim_values
 from conftest import deltas_bitwise_equal, random_delta_set, ties_reference
 
 
@@ -153,6 +154,32 @@ class TestTrim:
         mask = out != 0
         np.testing.assert_array_equal(out[mask], values[mask])
 
+    def test_matches_stable_sort_reference_at_layer_shape(self):
+        """The partition-based trim keeps exactly the entries a stable sort on
+        -|v| keeps, bit for bit, including the sign of dropped and kept zeros."""
+        rng = np.random.default_rng(24)
+        shape = (1024, 1024)
+        signed_zeros = rng.standard_normal(shape).astype(np.float32)
+        signed_zeros[rng.random(shape) < 0.3] = -0.0
+        signed_zeros[rng.random(shape) < 0.1] = 0.0
+        inputs = {
+            "gaussian": rng.standard_normal(shape).astype(np.float32),
+            "low_rank": rng.standard_normal((1024, 16)).astype(np.float32)
+            @ rng.standard_normal((16, 1024)).astype(np.float32),
+            "integer_ties": rng.integers(-3, 4, size=shape).astype(np.float32),
+            "signed_zeros": signed_zeros,
+        }
+        for kind, values in inputs.items():
+            flat = values.ravel()
+            order = np.argsort(-np.abs(flat), kind="stable")
+            for density in (0.1, 0.5, 0.8, 0.999999, 1.0):
+                mask = np.zeros(flat.size, dtype=bool)
+                mask[order[: _trim_count(density, flat.size)]] = True
+                expected = np.where(mask, flat, np.float32(0.0)).reshape(shape)
+                out = _trim_values(values, density)
+                assert out.tobytes() == expected.tobytes(), (kind, density)
+                assert out.shape == shape, (kind, density)
+
 
 class TestDare:
     def test_zero_drop_rate_is_bitwise_identity(self):
@@ -232,6 +259,11 @@ class TestElectSign:
         with pytest.raises(AlignmentError):
             elect_sign([a, b])
 
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0,), (1.0, 1.0, 1.0)])
+    def test_bad_weights_rejected(self, weights):
+        with pytest.raises(ParameterError):
+            elect_sign(_column_deltas([1.0, 2.0]), weights=weights)
+
 
 class TestDisjointMerge:
     def test_only_matching_signs_average(self):
@@ -248,6 +280,23 @@ class TestDisjointMerge:
         deltas = _column_deltas([0.0, 0.0])
         out = disjoint_merge(deltas, elect_sign(deltas))
         assert out.layers["l"].values.tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.0,), (1.0, 1.0, 1.0)])
+    def test_bad_weights_rejected(self, weights):
+        deltas = _column_deltas([1.0, 2.0])
+        with pytest.raises(ParameterError):
+            disjoint_merge(deltas, elect_sign(deltas), weights=weights)
+
+    def test_unmatched_entries_are_positive_zero(self):
+        # every value has the opposite sign to, or is a zero of either sign
+        # under, the elected sign; negative values times "no match" give -0.0
+        values = [
+            np.array([-2.0, 0.0, -0.0, 3.0, 2.0], np.float32),
+            np.array([-1.0, -0.0, -5.0, 1.0, -2.0], np.float32),
+        ]
+        signs = np.array([1, -1, 1, -1, 0], dtype=np.int8)
+        out = _disjoint(values, signs, np.array([1.5, 0.5]))
+        assert out.tobytes() == np.zeros(5, np.float32).tobytes()
 
     def test_sign_consistency_property(self):
         rng = np.random.default_rng(31)
@@ -417,3 +466,43 @@ class TestMergeDispatch:
         a = merge(deltas, config)
         b = merge(deltas, config)
         assert deltas_bitwise_equal(a, b)
+
+
+class TestGoldenDigests:
+    """Pins the output bytes of the TIES kernel on a seeded 3-model set."""
+
+    TIES_SHA256 = "1d4a6855260d90115253511a449c0f35de29ad22ae1fdd40cf11a14c8cc09ccd"
+    DARE_TIES_SHA256 = "77a5128a6bc1189abf551e34b1e5627e785ce603b075756d47368c9252c088f6"
+
+    @staticmethod
+    def _deltas():
+        rng = np.random.default_rng(20240601)
+        arrays = [rng.standard_normal((256, 256)).astype(np.float32) for _ in range(3)]
+        # row 0: exact cancellation next to a -0.0; row 1: -0.0 in every model
+        arrays[0][0, :16] = 2.0
+        arrays[1][0, :16] = -2.0
+        arrays[2][0, :16] = -0.0
+        for a in arrays:
+            a[1, :16] = -0.0
+            a[2, ::7] = -0.0
+        return [
+            DeltaMap.from_arrays({"layers.0.q_proj": a}, label=label)
+            for a, label in zip(arrays, ("en", "de", "fr"))
+        ]
+
+    @staticmethod
+    def _check(out, digest):
+        values = out.layers["layers.0.q_proj"].values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+        # entries no model matches come out as +0.0, never -0.0
+        assert values[1, :16].tobytes() == np.zeros(16, np.float32).tobytes()
+        assert not np.signbit(values[values == 0]).any()
+
+    def test_ties(self):
+        out = ties_merge(self._deltas(), MergeConfig(("TIES",), density=0.5))
+        assert out.layers["layers.0.q_proj"].values[0, :16].tobytes() == bytes(64)
+        self._check(out, self.TIES_SHA256)
+
+    def test_dare_ties(self):
+        config = MergeConfig(("DARE", "TIES"), density=1.0, drop_rate=0.5, seed=7)
+        self._check(merge(self._deltas(), config), self.DARE_TIES_SHA256)
