@@ -5,7 +5,9 @@ An adapter stores per-layer low-rank factors ``A`` (rank x d_in) and ``B``
 the language or task.  Its delta is the full-rank update each layer applies
 to the base weights, ``(alpha / rank) * B @ A``; with the common alpha ==
 rank configuration the scale factor is exactly 1.  Deltas, not raw factors,
-are what the merging engine consumes.
+are what the merging engine consumes.  An adapter's delta layers stay
+factored (:class:`LowRankBlock`) and are formed one layer at a time, when a
+step needs the dense values.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
@@ -32,6 +34,7 @@ from .errors import (
 _A_SUFFIX = ".lora_A"
 _B_SUFFIX = ".lora_B"
 _DELTA_SUFFIX = ".delta"
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,6 +68,82 @@ class TensorBlock:
 
 
 @dataclass(frozen=True, eq=False)
+class LowRankBlock:
+    """A named layer ``scale * left @ right``, densified when it is read.
+
+    ``left`` is d_out x r and ``right`` r x d_in, both float32.  ``values``
+    has the ``TensorBlock`` contract; it forms the product in float64, rounds
+    it once to float32 and is not cached, so only the layer a step works on
+    is ever held dense.
+    """
+
+    name: str
+    left: np.ndarray
+    right: np.ndarray
+    scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("tensor name must be a non-empty string")
+        left = np.ascontiguousarray(self.left, dtype=np.float32)
+        right = np.ascontiguousarray(self.right, dtype=np.float32)
+        if (
+            left.ndim != 2
+            or right.ndim != 2
+            or left.shape[1] != right.shape[0]
+            or 0 in left.shape + right.shape
+        ):
+            raise ValidationError(
+                f"tensor {self.name!r}: factors {left.shape} and {right.shape} do not chain"
+            )
+        left.setflags(write=False)
+        right.setflags(write=False)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "scale", float(self.scale))
+        # finite factors can still overflow float32 in the product; its entries
+        # are at most |scale| * max row norm * max column norm (Cauchy-Schwarz),
+        # so form it (and raise DataError) only when that bound nears the limit
+        bound = (
+            abs(self.scale)
+            * np.linalg.norm(left.astype(np.float64), axis=1).max()
+            * np.linalg.norm(right.astype(np.float64), axis=0).max()
+        )
+        if not bound < _F32_MAX / 2:
+            self.values  # raises DataError if the product is not finite in float32
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.left.shape[0], self.right.shape[1])
+
+    @property
+    def size(self) -> int:
+        return self.left.shape[0] * self.right.shape[1]
+
+    @property
+    def values(self) -> np.ndarray:
+        product = self.left.astype(np.float64) @ self.right.astype(np.float64)
+        product *= self.scale
+        return TensorBlock(self.name, product.astype(np.float32)).values
+
+
+def factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Thin SVD ``(u, s, vt)`` of ``left @ right`` without forming the product.
+
+    ``left`` is d_out x k with k <= d_out, both float64.  A QR of ``left``
+    reduces the problem to the k-row matrix ``R @ right`` (Halko, Martinsson
+    & Tropp, arXiv:0909.4061), which yields k singular triplets.
+    """
+    q, r = np.linalg.qr(left)
+    u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
+    return q @ u, s, vt
+
+
+@dataclass(frozen=True, eq=False)
 class LoraAdapter:
     """Per-layer (A, B) factor pairs sharing one rank and alpha."""
 
@@ -95,9 +174,9 @@ class LoraAdapter:
 
 @dataclass(frozen=True, eq=False)
 class DeltaMap:
-    """Per-layer full-rank delta tensors for one labelled model."""
+    """Per-layer delta tensors for one labelled model, dense or low-rank."""
 
-    layers: dict[str, TensorBlock]
+    layers: dict[str, TensorBlock | LowRankBlock]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -107,7 +186,7 @@ class DeltaMap:
         if not self.layers:
             raise ValidationError("delta map has no layers")
         for layer, block in self.layers.items():
-            if block.values.ndim != 2:
+            if len(block.shape) != 2:
                 raise ValidationError(f"layer {layer!r}: delta must be 2-D, got {block.shape}")
 
     @classmethod
@@ -116,16 +195,17 @@ class DeltaMap:
 
 
 def compute_delta(adapter: LoraAdapter) -> DeltaMap:
-    """Form each layer's full-rank delta ``(alpha / rank) * B @ A``.
+    """Each layer's delta ``(alpha / rank) * B @ A``, kept as its factors.
 
-    Products accumulate in float64 and round once to float32 storage.
+    Reading a layer's ``values`` accumulates the product in float64 and
+    rounds it once to float32.
     """
     adapter.validate()
     scale = float(adapter.alpha) / float(adapter.rank)
-    layers: dict[str, TensorBlock] = {}
-    for layer, (a, b) in adapter.layers.items():
-        product = b.values.astype(np.float64) @ a.values.astype(np.float64)
-        layers[layer] = TensorBlock(layer, (scale * product).astype(np.float32))
+    layers = {
+        layer: LowRankBlock(layer, b.values, a.values, scale)
+        for layer, (a, b) in adapter.layers.items()
+    }
     return DeltaMap(layers, adapter.label)
 
 
@@ -233,7 +313,9 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
 
     Per layer, ``delta ~= (U sqrt(S)) @ (sqrt(S) Vt)`` keeping the top
     ``rank`` singular triplets.  The result uses alpha == rank so its
-    reconstructed delta is plain ``B @ A``.
+    reconstructed delta is plain ``B @ A``.  A low-rank layer whose own rank
+    is below its dimensions (and at least ``rank``) is factored without
+    forming its dense values.
     """
     delta.validate()
     if not isinstance(rank, int) or rank < 1:
@@ -246,7 +328,12 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     layers: dict[str, tuple[TensorBlock, TensorBlock]] = {}
     for layer, block in delta.layers.items():
         try:
-            u, s, vt = np.linalg.svd(block.values.astype(np.float64), full_matrices=False)
+            if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
+                u, s, vt = factored_svd(
+                    block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
+                )
+            else:
+                u, s, vt = np.linalg.svd(block.values.astype(np.float64), full_matrices=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
         root = np.sqrt(s[:rank])

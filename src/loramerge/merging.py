@@ -7,7 +7,9 @@ precursor that randomly zeroes entries with probability ``p`` and rescales
 survivors by ``1 / (1 - p)`` to preserve the expected value.  KnOTS is a
 precursor that concatenates the per-model deltas layer by layer, applies a
 thin SVD to obtain a shared left basis and per-model task components, runs
-the inner merge on those components, and reconstructs.
+the inner merge on those components, and reconstructs.  When every model's
+layer is low-rank (adapter inputs), the SVD runs on the factors and the
+reconstruction stays low-rank.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adapters import DeltaMap, TensorBlock
+from .adapters import DeltaMap, LowRankBlock, TensorBlock, factored_svd
 from .errors import AlignmentError, NumericalError, ParameterError
 from .rng import uniform_stream
 
@@ -158,14 +160,17 @@ def _aligned_layers(deltas: Sequence[DeltaMap]) -> list[str]:
     return names
 
 
-def _trim_count(density: float, size: int) -> int:
+def _trim_count(density: float | Fraction, size: int) -> int:
     # ceil(density * size) over the decimal value of density (its shortest
     # repr), not its binary approximation: the float product can cross an
-    # integer boundary either way (0.1 * 30 vs Fraction(0.8) * 5).
-    return int(math.ceil(Fraction(repr(float(density))) * size))
+    # integer boundary either way (0.1 * 30 vs Fraction(0.8) * 5).  A
+    # Fraction is taken as is, so a caller can ask for an exact count.
+    if not isinstance(density, Fraction):
+        density = Fraction(repr(float(density)))
+    return int(math.ceil(density * size))
 
 
-def _trim_values(values: np.ndarray, density: float) -> np.ndarray:
+def _trim_values(values: np.ndarray, density: float | Fraction) -> np.ndarray:
     flat = values.ravel()
     keep = _trim_count(density, flat.size)
     if keep >= flat.size:
@@ -239,7 +244,9 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     return term.astype(np.float32)
 
 
-def _ties_layer(values: Sequence[np.ndarray], density: float, weights: np.ndarray) -> np.ndarray:
+def _ties_layer(
+    values: Sequence[np.ndarray], density: float | Fraction, weights: np.ndarray
+) -> np.ndarray:
     """Trim, elect sign and disjoint-merge one layer across the models."""
     trimmed = [_trim_values(v, density) for v in values]
     return _disjoint(trimmed, _elect(trimmed, weights), weights)
@@ -300,13 +307,38 @@ class KnotsFactors:
     """Thin SVD of the layerwise concatenation ``[d_1 | ... | d_M]``.
 
     ``u`` is the shared left basis (d_out x k); ``v_parts`` holds the M
-    task-specific components, each pre-scaled by the singular values so
-    ``u @ v_parts[m]`` reconstructs model m's delta.
+    task-specific components (k x d_in), each pre-scaled by the singular
+    values so ``u @ v_parts[m]`` reconstructs model m's delta.  k is
+    ``min(d_out, M * d_in)`` on the dense route and the summed rank of the
+    models' low-rank layers on the factored one.
     """
 
     u: TensorBlock
     singular_values: np.ndarray
     v_parts: list[TensorBlock]
+
+
+def _concat_svd(blocks: Sequence[TensorBlock | LowRankBlock]) -> tuple[np.ndarray, ...]:
+    """Thin SVD of ``[d_1 | ... | d_M]``, factored when every block is low-rank
+    and their summed rank is below the dense concatenation's rank bound."""
+    count = len(blocks)
+    d_out, d_in = blocks[0].shape
+    if not (
+        all(isinstance(b, LowRankBlock) for b in blocks)
+        and sum(b.rank for b in blocks) < min(d_out, count * d_in)
+    ):
+        concat = np.concatenate([b.values for b in blocks], axis=1, dtype=np.float64)
+        return np.linalg.svd(concat, full_matrices=False)
+    # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
+    left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
+    right = np.zeros((left.shape[1], count * d_in))
+    row = 0
+    for m, b in enumerate(blocks):
+        tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
+        tile[...] = b.right
+        tile *= b.scale
+        row += b.rank
+    return factored_svd(left, right)
 
 
 def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, KnotsFactors]:
@@ -317,16 +349,14 @@ def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, KnotsFactors]:
     count = len(deltas)
     out: dict[str, KnotsFactors] = {}
     for layer in names:
-        blocks = [d.layers[layer].values.astype(np.float64) for d in deltas]
-        concat = np.hstack(blocks)
         try:
-            u, s, vt = np.linalg.svd(concat, full_matrices=False)
+            u, s, vt = _concat_svd([d.layers[layer] for d in deltas])
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
-        scaled_vt = s[:, None] * vt
+        vt *= s[:, None]
         parts = [
             TensorBlock(f"{layer}.task{m}", part.astype(np.float32))
-            for m, part in enumerate(np.hsplit(scaled_vt, count))
+            for m, part in enumerate(np.hsplit(vt, count))
         ]
         out[layer] = KnotsFactors(
             TensorBlock(f"{layer}.basis", u.astype(np.float32)),
@@ -337,16 +367,26 @@ def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, KnotsFactors]:
 
 
 def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
-    """TIES-merge the task components in the shared basis, then reconstruct."""
+    """TIES-merge the task components in the shared basis, then reconstruct.
+
+    The trim keeps ``ceil(density * min(d_out, M * d_in) * d_in)`` component
+    entries, the count of the dense route, also on the factored route: its
+    components are the dense ones less those of zero singular values.  A
+    reconstruction whose basis is thinner than the layer stays low-rank.
+    """
     if "KNOTS" not in config.pipeline:
         raise ParameterError("knots_merge requires a pipeline containing KNOTS")
     factors = knots_transform(deltas)
-    w = config.weight_vector(len(deltas))
-    layers: dict[str, TensorBlock] = {}
+    count = len(deltas)
+    w = config.weight_vector(count)
+    layers: dict[str, TensorBlock | LowRankBlock] = {}
     for layer, fac in factors.items():
-        merged = _ties_layer([p.values for p in fac.v_parts], config.density, w)
-        reconstructed = fac.u.values.astype(np.float64) @ merged.astype(np.float64)
-        layers[layer] = TensorBlock(layer, reconstructed.astype(np.float32))
+        (d_out, k), (_, d_in) = fac.u.shape, fac.v_parts[0].shape
+        keep = _trim_count(config.density, min(d_out, count * d_in) * d_in)
+        density = Fraction(min(keep, k * d_in), k * d_in)
+        merged = _ties_layer([p.values for p in fac.v_parts], density, w)
+        product = LowRankBlock(layer, fac.u.values, merged)
+        layers[layer] = product if k < min(product.shape) else TensorBlock(layer, product.values)
     return DeltaMap(layers, _joint_label(deltas))
 
 

@@ -63,18 +63,13 @@ def similarity_matrix(deltas: Sequence[DeltaMap], per_layer: bool = False) -> Si
     if len(deltas) < 2:
         raise ParameterError("need at least two delta maps")
     names = _aligned_layers(deltas)
+    # each layer densified once: a low-rank layer forms its values on every read
+    layered = [[d.layers[k].values for k in names] for d in deltas] if per_layer else None
     vectors = None if per_layer else [flatten(d) for d in deltas]
 
     def pair_score(i: int, j: int) -> float:
-        if vectors is None:
-            return float(
-                np.mean(
-                    [
-                        cosine(deltas[i].layers[k].values, deltas[j].layers[k].values)
-                        for k in names
-                    ]
-                )
-            )
+        if layered is not None:
+            return float(np.mean([cosine(x, y) for x, y in zip(layered[i], layered[j])]))
         return cosine(vectors[i], vectors[j])
     n = len(deltas)
     values = np.empty((n, n), dtype=np.float64)

@@ -6,6 +6,7 @@ from loramerge import (
     DeltaMap,
     FormatError,
     LoraAdapter,
+    LowRankBlock,
     PairingError,
     ParameterError,
     TensorBlock,
@@ -51,6 +52,32 @@ class TestTensorBlock:
     def test_rejects_empty_name(self):
         with pytest.raises(ValidationError):
             TensorBlock("", np.zeros((1,), dtype=np.float32))
+
+
+class TestLowRankBlock:
+    def test_shape_without_forming_the_product(self):
+        block = LowRankBlock("l", np.ones((5, 2)), np.ones((2, 3)), 0.5)
+        assert (block.shape, block.size, block.rank) == ((5, 3), 15, 2)
+        assert not block.left.flags.writeable and block.right.dtype == np.float32
+        assert block.values.tolist() == [[1.0] * 3] * 5
+        assert block.values is not block.values
+
+    def test_rejects_factors_that_do_not_chain(self):
+        with pytest.raises(ValidationError):
+            LowRankBlock("l", np.ones((5, 2)), np.ones((3, 3)))
+        with pytest.raises(ValidationError):
+            LowRankBlock("l", np.ones((5, 2, 1)), np.ones((2, 3)))
+        with pytest.raises(ValidationError):
+            LowRankBlock("", np.ones((5, 2)), np.ones((2, 3)))
+
+    def test_overflowing_product_rejected_at_construction(self):
+        with pytest.raises(DataError, match="tensor 'l'"):
+            LowRankBlock("l", np.full((3, 1), 2e19), np.full((1, 3), 1e19), 2.0)
+
+    def test_large_factors_with_a_finite_product_accepted(self):
+        # the norm bound (2e40) exceeds float32 max, but the entries cancel
+        block = LowRankBlock("l", np.full((2, 2), 1e20), np.array([[1e20], [-1e20]]))
+        assert block.values.tolist() == [[0.0], [0.0]]
 
 
 class TestAdapterValidation:
@@ -290,6 +317,15 @@ class TestRefactor:
         np.testing.assert_allclose(
             rebuilt.layers["l"].values, delta.layers["l"].values, atol=1e-5
         )
+
+    def test_low_rank_layer_matches_the_dense_route(self):
+        rng = np.random.default_rng(17)
+        lazy = compute_delta(random_adapter(rng, layers=1, rank=3, dims=[(8, 9)]))
+        dense = DeltaMap.from_arrays({k: b.values for k, b in lazy.layers.items()}, lazy.label)
+        for rank in (1, 3, 5):  # 5 exceeds the layer's rank: dense route
+            got = compute_delta(refactor_to_adapter(lazy, rank)).layers["layer0"].values
+            want = compute_delta(refactor_to_adapter(dense, rank)).layers["layer0"].values
+            np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_rank_too_large_rejected(self):
         delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")

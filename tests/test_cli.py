@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from loramerge import (
+    LoraAdapter,
     MergeConfig,
     NumericalError,
+    TensorBlock,
     compute_delta,
     load_adapter,
     load_delta,
@@ -137,6 +142,106 @@ class TestMergeCommand:
         code = run(["merge", "--config", config_path, "--out", str(tmp_path / "m.tnsr"), *paths])
         assert code == 3
         assert "error[numerical]:" in capsys.readouterr().err
+
+
+def _write_config(path, pipeline, **extra):
+    with open(path, "w") as fh:
+        json.dump({"pipeline": pipeline, "density": 0.5, **extra}, fh)
+    return str(path)
+
+
+class TestNonFiniteProduct:
+    """Finite factors whose product overflows float32 fail at load on every path."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(81)
+        factors = {
+            "bad": (np.full((1, 4), 1e19), np.full((4, 1), 2e19)),  # 2 * B @ A = 4e38
+            "ok": (rng.standard_normal((1, 4)), rng.standard_normal((4, 1))),
+        }
+        paths = []
+        for label, (a, b) in factors.items():
+            adapter = LoraAdapter(
+                {"l": (TensorBlock("l.lora_A", a), TensorBlock("l.lora_B", b))}, 1, 2.0, label
+            )
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_adapter(adapter, paths[-1])
+        ties = _write_config(tmp_path / "ties.json", ["TIES"])
+        knots = _write_config(tmp_path / "knots.json", ["KNOTS", "TIES"])
+        return tmp_path, paths, {"ties": ties, "knots": knots}
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["merge", "--config", "{ties}", "--out", "{out}", "{bad}", "{ok}"],
+            ["merge", "--config", "{knots}", "--out", "{out}", "{bad}", "{ok}"],
+            ["merge", "--config", "{knots}", "--refactor-rank", "1", "--out", "{out}"]
+            + ["{bad}", "{ok}"],
+            ["delta", "--out", "{out}", "{bad}"],
+        ],
+        ids=["ties", "knots-ties", "knots-ties-refactor", "delta"],
+    )
+    def test_rejected_naming_the_layer(self, inputs, capsys, command):
+        tmp_path, (bad, ok), configs = inputs
+        out = str(tmp_path / "out.tnsr")
+        argv = [arg.format(out=out, bad=bad, ok=ok, **configs) for arg in command]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error[data]: tensor 'l' contains non-finite values\n"
+        assert not os.path.exists(out)
+
+
+class TestThreadCountDeterminism:
+    """Merges at a shape above OpenBLAS's threading threshold, 1 vs 2 threads."""
+
+    @pytest.fixture(scope="class")
+    def adapters(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("threads")
+        rng = np.random.default_rng(82)
+        paths = []
+        for label in ("en", "de", "fr"):
+            adapter = random_adapter(rng, rank=16, label=label, dims=[(768, 768)] * 2)
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_adapter(adapter, paths[-1])
+        return tmp_path, paths
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [
+            ["KNOTS", "TIES"],
+            pytest.param(
+                ["DARE", "KNOTS", "TIES"],
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 5: DARE densifies, so KnOTS runs its dense SVD",
+                ),
+            ),
+        ],
+        ids=["knots-ties", "dare-knots-ties"],
+    )
+    def test_byte_identical(self, adapters, pipeline):
+        tmp_path, paths = adapters
+        name = "-".join(pipeline)
+        config = _write_config(tmp_path / f"{name}.json", pipeline, seed=42)
+        outputs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"{name}-t{threads}.tnsr")
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                OMP_NUM_THREADS=threads,
+                MKL_NUM_THREADS=threads,
+            )
+            argv = ["merge", "--config", config, "--out", out, *paths]
+            result = subprocess.run(
+                [sys.executable, "-m", "loramerge", *argv],
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(open(out, "rb").read())
+        assert outputs[0] == outputs[1]
 
 
 class TestDeltaCommand:

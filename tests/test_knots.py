@@ -1,15 +1,22 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from loramerge import (
     DeltaMap,
+    LowRankBlock,
     MergeConfig,
     ParameterError,
+    TensorBlock,
+    compute_delta,
     knots_merge,
     knots_transform,
+    refactor_to_adapter,
 )
 from loramerge.merging import _disjoint, _elect, _trim_values
-from conftest import random_delta_set
+from conftest import random_adapter, random_delta_set
 
 
 def _concat(deltas, layer):
@@ -122,3 +129,105 @@ class TestKnotsMerge:
             np.float32
         )
         np.testing.assert_allclose(out, expected, atol=1e-6)
+
+
+@pytest.fixture(scope="module")
+def factored_set():
+    """5 rank-16 adapters with one 512 x 512 layer, lazy and densified."""
+    rng = np.random.default_rng(60)
+    adapters = [random_adapter(rng, rank=16, label=f"m{m}", dims=[(512, 512)]) for m in range(5)]
+    lazy = [compute_delta(a) for a in adapters]
+    dense = [DeltaMap.from_arrays({"layer0": d.layers["layer0"].values}, d.label) for d in lazy]
+    return adapters, lazy, dense
+
+
+def _relative(a, b):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestFactoredRoute:
+    def test_lazy_values_match_the_dense_product_bytes(self, factored_set):
+        adapters, lazy, _ = factored_set
+        for adapter, delta in zip(adapters, lazy):
+            a, b = adapter.layers["layer0"]
+            block = delta.layers["layer0"]
+            assert isinstance(block, LowRankBlock) and block.rank == 16
+            scale = adapter.alpha / adapter.rank
+            product = b.values.astype(np.float64) @ a.values.astype(np.float64)
+            expected = (scale * product).astype(np.float32)
+            assert block.values.tobytes() == expected.tobytes()
+            assert not block.values.flags.writeable
+
+    def test_basis_is_orthonormal_with_summed_rank_and_reconstructs(self, factored_set):
+        _, lazy, _ = factored_set
+        fac = knots_transform(lazy)["layer0"]
+        assert fac.u.shape == (512, 5 * 16)
+        assert all(p.shape == (5 * 16, 512) for p in fac.v_parts)
+        u = fac.u.values.astype(np.float64)
+        assert np.abs(u.T @ u - np.eye(80)).max() < 1e-5
+        recon = u @ np.hstack([p.values.astype(np.float64) for p in fac.v_parts])
+        assert _relative(recon, _concat(lazy, "layer0")) < 1e-6
+
+    @pytest.mark.parametrize("density", [1.0, 0.5, 0.05, 0.01])
+    def test_matches_the_dense_route(self, factored_set, density):
+        _, lazy, dense = factored_set
+        config = MergeConfig(("KNOTS", "TIES"), density=density)
+        factored = knots_merge(lazy, config).layers["layer0"]
+        assert isinstance(factored, LowRankBlock) and factored.rank == 80
+        reference = knots_merge(dense, config).layers["layer0"]
+        assert isinstance(reference, TensorBlock)
+        assert _relative(factored.values, reference.values) <= 1e-6
+
+    def test_low_density_trims_the_factored_components(self, factored_set):
+        _, lazy, _ = factored_set
+        # density 0.05 of the dense 512 x 512 components keeps fewer entries
+        # than the 80 x 512 factored ones hold
+        keep = math.ceil(0.05 * 512 * 512)
+        assert keep < 80 * 512
+        factors = knots_transform(lazy)["layer0"]
+        size = factors.v_parts[0].size
+        trimmed = _trim_values(factors.v_parts[0].values, Fraction(keep, size))
+        assert np.count_nonzero(trimmed) == keep
+
+    def test_refactor_reaches_the_eckart_young_optimum(self, factored_set):
+        _, lazy, _ = factored_set
+        merged = knots_merge(lazy, MergeConfig(("KNOTS", "TIES"), density=0.5))
+        block = merged.layers["layer0"]
+        exact = block.left.astype(np.float64) @ block.right.astype(np.float64)
+        sigma = np.linalg.svd(exact, compute_uv=False)
+        for rank in (1, 16, 40):
+            adapter = refactor_to_adapter(merged, rank)
+            a, b = adapter.layers["layer0"]
+            rebuilt = b.values.astype(np.float64) @ a.values.astype(np.float64)
+            error = np.linalg.norm(rebuilt - exact)
+            assert error <= np.sqrt(np.sum(sigma[rank:] ** 2)) * (1 + 1e-6)
+
+
+class TestDenseRoute:
+    def test_bytes_match_the_concatenate_then_svd_composition(self):
+        rng = np.random.default_rng(61)
+        arrays = [rng.standard_normal((96, 40)).astype(np.float32) for _ in range(3)]
+        deltas = [DeltaMap.from_arrays({"l": x}, f"m{i}") for i, x in enumerate(arrays)]
+        weights = (1.0, 2.0, 0.5)
+        for density in (1.0, 0.3):
+            config = MergeConfig(("KNOTS", "TIES"), density=density, weights=weights)
+            out = knots_merge(deltas, config).layers["l"]
+            assert isinstance(out, TensorBlock)
+
+            concat = np.hstack([x.astype(np.float64) for x in arrays])
+            u, s, vt = np.linalg.svd(concat, full_matrices=False)
+            parts = [p.astype(np.float32) for p in np.hsplit(s[:, None] * vt, 3)]
+            w = np.asarray(weights)
+            trimmed = [_trim_values(p, density) for p in parts]
+            merged = _disjoint(trimmed, _elect(trimmed, w), w)
+            expected = (
+                u.astype(np.float32).astype(np.float64) @ merged.astype(np.float64)
+            ).astype(np.float32)
+            assert out.values.tobytes() == expected.tobytes()
+
+    def test_mixed_inputs_take_the_dense_route(self, factored_set):
+        _, lazy, dense = factored_set
+        fac = knots_transform([lazy[0], dense[1]])["layer0"]
+        assert fac.u.shape == (512, 512)

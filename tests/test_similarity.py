@@ -4,6 +4,7 @@ import pytest
 from loramerge import (
     AlignmentError,
     DeltaMap,
+    LowRankBlock,
     ParameterError,
     SimilarityUndefinedError,
     cosine,
@@ -142,6 +143,27 @@ class TestSimilarityMatrix:
         layered = similarity_matrix([a, b], per_layer=True).values[0, 1]
         assert layered == pytest.approx(0.5, abs=1e-9)  # mean of 0 and 1
         assert flat != pytest.approx(layered, abs=1e-3)
+
+    def test_per_layer_densifies_each_layer_once(self, monkeypatch):
+        rng = np.random.default_rng(140)
+
+        def lowrank(name):
+            return LowRankBlock(name, rng.standard_normal((6, 2)), rng.standard_normal((2, 5)))
+
+        deltas = [DeltaMap({k: lowrank(k) for k in ("x", "y")}, f"m{m}") for m in range(4)]
+        dense = [DeltaMap.from_arrays({k: b.values for k, b in d.layers.items()}) for d in deltas]
+        expected = similarity_matrix(dense, per_layer=True)
+        reads = []
+        dense = LowRankBlock.values
+
+        def counted(block):
+            reads.append(block.name)
+            return dense.fget(block)
+
+        monkeypatch.setattr(LowRankBlock, "values", property(counted))
+        matrix = similarity_matrix(deltas, per_layer=True)
+        assert sorted(reads) == ["x"] * 4 + ["y"] * 4
+        assert matrix.values.tobytes() == expected.values.tobytes()
 
     def test_csv_format(self):
         a = _delta({"l": [[1.0, 0.0]]}, label="en")
