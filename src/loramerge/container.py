@@ -13,12 +13,17 @@ Offsets must tile the payload exactly: non-overlapping, gap-free, starting
 at 0.  Writers emit tensors in sorted-name order with a canonical compact
 JSON header, so identical inputs produce identical bytes.  Only float32 is
 supported; non-finite payload values are rejected at load time.
+
+A write goes to a temporary file beside the target and is renamed over it
+only when complete, so a failed write leaves no partial file.  A read copies
+the payload once into a fresh buffer and hands out read-only views of it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -59,7 +64,6 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray], metadata: dict[str,
         header["__metadata__"] = dict(metadata)
 
     offset = 0
-    chunks = []
     for name, arr in arrays.items():
         nbytes = arr.size * 4
         header[name] = {
@@ -67,21 +71,40 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray], metadata: dict[str,
             "shape": list(arr.shape),
             "data_offsets": [offset, offset + nbytes],
         }
-        chunks.append(arr.tobytes())
         offset += nbytes
 
     blob = _canonical_header_bytes(header)
+    directory, base = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{base}.{os.urandom(8).hex()}.tmp")
     try:
-        with open(path, "wb") as fh:
+        fh = open(temp, "xb")
+    except OSError as exc:
+        raise _write_error(path, exc) from exc
+    try:
+        with fh:
             fh.write(struct.pack(_LEN_FMT, len(blob)))
             fh.write(blob)
-            for chunk in chunks:
-                fh.write(chunk)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
+            for arr in arrays.values():
+                fh.write(memoryview(arr).cast("B"))
+        os.replace(temp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise _write_error(path, exc) from exc
+        raise
 
 
-def _parse_header(raw: bytes, path: str) -> dict:
+def _write_error(path: str, exc: OSError) -> StorageError:
+    if exc.errno is not None and exc.filename is not None:
+        # name the target, not the temporary file, as a direct write would
+        exc = OSError(exc.errno, exc.strerror, path)
+    return StorageError(f"cannot write {path}: {exc}")
+
+
+def _parse_header(raw: bytes | bytearray, path: str) -> dict:
     try:
         header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -91,27 +114,47 @@ def _parse_header(raw: bytes, path: str) -> dict:
     return header
 
 
-def _read_raw(path: str) -> tuple[dict, bytes]:
+def _read_exact(fh, buffer: memoryview, path: str) -> None:
+    done = 0
+    while done < len(buffer):
+        got = fh.readinto(buffer[done:])
+        if not got:
+            raise FormatError(f"{path}: file ended {len(buffer) - done} bytes early")
+        done += got
+
+
+def _read_raw(path: str, with_payload: bool = True) -> tuple[dict, np.ndarray | None]:
+    """Read the header and, if asked, the payload into one fresh read-only
+    buffer."""
     try:
         with open(path, "rb") as fh:
-            data = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            if size < _LEN_BYTES:
+                raise FormatError(f"{path}: file too short for a header length field")
+            field = bytearray(_LEN_BYTES)
+            _read_exact(fh, memoryview(field), path)
+            (header_len,) = struct.unpack(_LEN_FMT, field)
+            if header_len > size - _LEN_BYTES:
+                raise FormatError(
+                    f"{path}: header length {header_len} exceeds file size {size}"
+                )
+            raw = bytearray(header_len)
+            _read_exact(fh, memoryview(raw), path)
+            header = _parse_header(raw, path)
+            if not with_payload:
+                return header, None
+            payload = np.empty(size - _LEN_BYTES - header_len, dtype=np.uint8)
+            _read_exact(fh, memoryview(payload), path)
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    if len(data) < _LEN_BYTES:
-        raise FormatError(f"{path}: file too short for a header length field")
-    (header_len,) = struct.unpack(_LEN_FMT, data[:_LEN_BYTES])
-    if header_len > len(data) - _LEN_BYTES:
-        raise FormatError(
-            f"{path}: header length {header_len} exceeds file size {len(data)}"
-        )
-    header = _parse_header(data[_LEN_BYTES : _LEN_BYTES + header_len], path)
-    payload = data[_LEN_BYTES + header_len :]
+    payload.setflags(write=False)
     return header, payload
 
 
 def read_header(path: str) -> dict:
-    """Parse and return the raw JSON header of a container file."""
-    header, _ = _read_raw(path)
+    """Parse and return the raw JSON header of a container file; the payload
+    is not read."""
+    header, _ = _read_raw(path, with_payload=False)
     return header
 
 
@@ -119,7 +162,8 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Load all tensors and metadata from ``path``, validating the layout.
 
     Returns ``(tensors, metadata)`` where arrays are float32, C-order, and
-    read-only.  Raises FormatError / OverlapError / DataError on malformed
+    read-only views of one buffer holding the file's payload, read with a
+    single copy.  Raises FormatError / OverlapError / DataError on malformed
     files and StorageError when the file cannot be read.
     """
     header, payload = _read_raw(path)
@@ -178,11 +222,13 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if cursor != len(payload):
         raise FormatError(f"{path}: {len(payload) - cursor} trailing payload bytes")
 
+    # views of the read-only payload, which starts its own buffer: every
+    # offset is a multiple of 4, so each view is aligned whatever the header
+    # length
     for name, entry in header.items():
         begin, end = entry["data_offsets"]
-        arr = np.frombuffer(payload[begin:end], dtype=_F32).reshape(entry["shape"]).copy()
+        arr = payload[begin:end].view(_F32).reshape(entry["shape"])
         if not np.isfinite(arr).all():
             raise DataError(f"{path}: tensor {name!r} contains non-finite values")
-        arr.setflags(write=False)
         tensors[name] = arr
     return tensors, metadata

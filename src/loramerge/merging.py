@@ -39,6 +39,11 @@ _PIPELINES = {
     ("DARE", "KNOTS", "TIES"),
 }
 
+# Entries per step of DARE's drops and TIES's sign election and disjoint
+# mean: their float64 temporaries stay cache-sized whatever the layer size.
+# A multiple of 4, so every chunk starts on a Philox counter boundary.
+_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True)
 class MergeConfig:
@@ -211,9 +216,22 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     scale = 1.0 / (1.0 - drop_rate)
     layers: dict[str, TensorBlock] = {}
     for layer, block in delta.layers.items():
-        u = uniform_stream(seed, delta.label, layer, block.size).reshape(block.shape)
-        kept = np.where(u >= drop_rate, block.values.astype(np.float64) * scale, 0.0)
-        layers[layer] = TensorBlock(block.name, kept.astype(np.float32))
+        values = block.values.ravel()
+        kept = np.empty(values.size, dtype=np.float32)
+        scaled = np.empty(min(_CHUNK, values.size))
+        survives = np.empty(scaled.size, dtype=np.uint32)
+        for start in range(0, values.size, _CHUNK):
+            stop = min(start + _CHUNK, values.size)
+            u = uniform_stream(seed, delta.label, layer, stop - start, start)
+            part = scaled[: stop - start]
+            part[...] = values[start:stop]
+            part *= scale
+            kept[start:stop] = part
+            # a dropped entry's bits are multiplied by 0, which makes it +0.0
+            # whatever its sign, with no per-entry branch on the random mask
+            bits = kept[start:stop].view(np.uint32)
+            bits *= np.greater_equal(u, drop_rate, out=survives[: stop - start])
+        layers[layer] = TensorBlock(block.name, kept.reshape(block.shape))
     return DeltaMap(layers, delta.label)
 
 
@@ -221,35 +239,50 @@ def _elect(values: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     total = np.zeros(values[0].shape, dtype=np.float64)
     term = np.empty_like(total)
     for w, v in zip(weights, values):
-        np.multiply(v, w, out=term, dtype=np.float64)
+        term[...] = v
+        term *= w
         total += term
-    return np.sign(total, out=total).astype(np.int8)
+    # two compares instead of np.sign, which branches on every entry
+    return np.subtract(total > 0, total < 0, dtype=np.int8)
 
 
 def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     numer = np.zeros(signs.shape, dtype=np.float64)
     denom = np.zeros(signs.shape, dtype=np.float64)
     term = np.empty(signs.shape, dtype=np.float64)
-    elected = signs != 0
+    unit = signs.astype(np.float32)
+    carried = np.empty(signs.shape, dtype=np.float32)
+    match = np.empty(signs.shape, dtype=bool)
     for w, v in zip(weights, values):
-        match = (np.sign(v) == signs) & elected
-        np.multiply(v, w, out=term, dtype=np.float64)
+        # v carries the elected sign iff v * sign > 0; a zero never does
+        np.multiply(v, unit, out=carried)
+        np.greater(carried, 0.0, out=match)
+        term[...] = v
+        term *= w
         term *= match
         numer += term
         np.multiply(match, w, out=term)
         denom += term
-    # entries no model matches (denom 0) come out as +0.0
-    term.fill(0.0)
-    np.divide(numer, denom, out=term, where=denom > 0)
-    return term.astype(np.float32)
+    # an entry no model matches has numer +0.0 and denom 0; dividing it by 1
+    # keeps it +0.0 without a masked divide
+    denom += denom == 0
+    return np.divide(numer, denom, out=term).astype(np.float32)
 
 
 def _ties_layer(
     values: Sequence[np.ndarray], density: float | Fraction, weights: np.ndarray
 ) -> np.ndarray:
-    """Trim, elect sign and disjoint-merge one layer across the models."""
-    trimmed = [_trim_values(v, density) for v in values]
-    return _disjoint(trimmed, _elect(trimmed, weights), weights)
+    """Trim, elect sign and disjoint-merge one layer across the models.
+
+    The trim needs the whole layer's threshold; election and the disjoint
+    mean are entrywise, so they run chunk by chunk.
+    """
+    trimmed = [_trim_values(v, density).ravel() for v in values]
+    merged = np.empty(trimmed[0].size, dtype=np.float32)
+    for start in range(0, merged.size, _CHUNK):
+        part = [t[start : start + _CHUNK] for t in trimmed]
+        merged[start : start + _CHUNK] = _disjoint(part, _elect(part, weights), weights)
+    return merged.reshape(values[0].shape)
 
 
 def elect_sign(
@@ -390,18 +423,41 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     return DeltaMap(layers, _joint_label(deltas))
 
 
+def _pruned_layer(
+    deltas: Sequence[DeltaMap], layer: str, config: MergeConfig
+) -> list[np.ndarray]:
+    """One layer of every model, DARE-pruned when the pipeline asks for it."""
+    if "DARE" not in config.pipeline:
+        return [d.layers[layer].values for d in deltas]
+    p = config.effective_drop_rate
+    return [
+        dare_prune(DeltaMap({layer: d.layers[layer]}, d.label), p, config.seed)
+        .layers[layer]
+        .values
+        for d in deltas
+    ]
+
+
 def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
-    """Run the configured pipeline and label the result with its summary."""
+    """Run the configured pipeline and label the result with its summary.
+
+    TIES and DARE+TIES run one layer at a time: besides the inputs and the
+    output, only the current layer's pruned and trimmed copies are held.
+    """
     if not deltas:
         raise ParameterError("need at least one input delta map")
-    config.weight_vector(len(deltas))
+    w = config.weight_vector(len(deltas))
 
-    inputs = list(deltas)
-    if "DARE" in config.pipeline:
-        p = config.effective_drop_rate
-        inputs = [dare_prune(d, p, config.seed) for d in inputs]
     if "KNOTS" in config.pipeline:
-        merged = knots_merge(inputs, config)
-    else:
-        merged = ties_merge(inputs, config)
-    return DeltaMap(merged.layers, config.summary())
+        inputs = list(deltas)
+        if "DARE" in config.pipeline:
+            p = config.effective_drop_rate
+            inputs = [dare_prune(d, p, config.seed) for d in inputs]
+        return DeltaMap(knots_merge(inputs, config).layers, config.summary())
+    layers = {
+        layer: TensorBlock(
+            layer, _ties_layer(_pruned_layer(deltas, layer, config), config.density, w)
+        )
+        for layer in _aligned_layers(deltas)
+    }
+    return DeltaMap(layers, config.summary())

@@ -32,7 +32,17 @@ def stream_key(seed: int, label: str, name: str) -> int:
     return int.from_bytes(digest.digest(), "little")
 
 
-def uniform_stream(seed: int, label: str, name: str, count: int) -> np.ndarray:
-    """Return ``count`` float64 uniforms in [0, 1) from the keyed stream."""
-    bitgen = np.random.Philox(key=stream_key(seed, label, name))
+def uniform_stream(
+    seed: int, label: str, name: str, count: int, start: int = 0
+) -> np.ndarray:
+    """Return ``count`` float64 uniforms in [0, 1) from the keyed stream,
+    beginning at flat index ``start``.
+
+    Each Philox counter step yields four 64-bit words and each uniform takes
+    one, so a ``start`` that is a multiple of 4 is counter ``start // 4``:
+    the draw equals ``[start:start + count]`` of the stream drawn from 0.
+    """
+    if not isinstance(start, int) or start < 0 or start % 4:
+        raise ParameterError(f"stream start must be a non-negative multiple of 4, got {start!r}")
+    bitgen = np.random.Philox(key=stream_key(seed, label, name), counter=start // 4)
     return np.random.Generator(bitgen).random(count)

@@ -1,12 +1,19 @@
+import errno
 import json
 import os
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:  # not POSIX
+    resource = None
+
 import numpy as np
 import pytest
 
 from loramerge import (
+    DeltaMap,
     LoraAdapter,
     MergeConfig,
     NumericalError,
@@ -242,6 +249,51 @@ class TestThreadCountDeterminism:
             assert result.returncode == 0, result.stderr
             outputs.append(open(out, "rb").read())
         assert outputs[0] == outputs[1]
+
+
+class TestAtomicOut:
+    """``--out`` is written to a temporary file and renamed over the target."""
+
+    def test_out_may_name_an_input(self, workspace):
+        tmp_path, adapters, config_path = workspace
+        paths = [path for _, path in adapters.values()]
+        expected = merge(
+            [compute_delta(a) for a, _ in adapters.values()],
+            MergeConfig(("TIES",), density=0.5),
+        )
+        assert run(["merge", "--config", config_path, "--out", paths[0], *paths]) == 0
+        assert deltas_bitwise_equal(load_delta(paths[0]), expected)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "de.tnsr", "en.tnsr", "fr.tnsr"]
+
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+        rng = np.random.default_rng(83)
+        paths = []
+        for label in ("en", "de", "fr"):
+            delta = DeltaMap.from_arrays(
+                {"w": rng.standard_normal((256, 256)).astype(np.float32)}, label=label
+            )
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(delta, paths[-1])
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "merged.tnsr")
+
+        def limit_file_size():
+            # the 256 KB output fails at 64 KB with EFBIG (Python ignores SIGXFSZ)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+
+        result = subprocess.run(
+            [sys.executable, "-m", "loramerge", "merge", "--config", config, "--out", out, *paths],
+            preexec_fn=limit_file_size,
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error[io]: cannot write {out}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        ]
+        assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestDeltaCommand:

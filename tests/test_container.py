@@ -1,3 +1,5 @@
+import errno
+import os
 import struct
 
 import numpy as np
@@ -176,3 +178,63 @@ def test_read_header_returns_raw_object(tmp_path):
 def test_error_codes_are_distinct():
     assert FormatError.code != OverlapError.code != DataError.code
     assert len({FormatError.code, OverlapError.code, DataError.code}) == 3
+
+
+def test_unaligned_header_round_trips_read_only(tmp_path):
+    path = str(tmp_path / "odd.tnsr")
+    tensors = {
+        "a.delta": np.arange(12, dtype=np.float32).reshape(3, 4) - 5.5,
+        "b.delta": np.array([[-0.0, 1e-40, 3.25]], dtype=np.float32),
+    }
+    residues = set()
+    for label in ("", "a", "ab", "abc"):  # one header byte more each time
+        write_tensors(path, tensors, {"label": label})
+        with open(path, "rb") as fh:
+            residues.add(struct.unpack("<Q", fh.read(8))[0] % 4)
+        loaded, metadata = read_tensors(path)
+        assert metadata == {"label": label}
+        for name, arr in tensors.items():
+            assert loaded[name].tobytes() == arr.tobytes()
+            assert loaded[name].dtype == np.float32 and loaded[name].flags.aligned
+            assert not loaded[name].flags.writeable
+            with pytest.raises(ValueError):
+                loaded[name].setflags(write=True)
+    assert residues == {0, 1, 2, 3}
+
+
+def test_truncated_payload_is_format_error_but_header_reads(tmp_path):
+    path = str(tmp_path / "cut.tnsr")
+    write_tensors(path, {"a.delta": np.ones((4, 4), dtype=np.float32)}, {"label": "x"})
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 3)
+    with pytest.raises(FormatError):
+        read_tensors(path)
+    # inspecting reads the header alone, so a cut payload does not stop it
+    assert read_header(path)["a.delta"]["shape"] == [4, 4]
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "out.tnsr")
+    write_tensors(path, {"a.delta": np.ones((2, 2), dtype=np.float32)}, {"label": "old"})
+    with open(path, "rb") as fh:
+        before = fh.read()
+
+    def fail(src, dst):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(StorageError) as info:
+        write_tensors(path, {"a.delta": np.zeros((2, 2), dtype=np.float32)}, {"label": "new"})
+    assert str(info.value) == f"cannot write {path}: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {path!r}"
+    assert os.listdir(tmp_path) == ["out.tnsr"]
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+def test_write_to_missing_directory_names_the_target(tmp_path):
+    path = str(tmp_path / "absent" / "out.tnsr")
+    with pytest.raises(StorageError) as info:
+        write_tensors(path, {"a.delta": np.ones((1, 1), dtype=np.float32)}, None)
+    assert str(info.value) == (
+        f"cannot write {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
+    )

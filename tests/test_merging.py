@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from loramerge import (
     ties_merge,
     trim,
 )
+from loramerge import merging
 from loramerge.merging import _disjoint, _trim_count, _trim_values
+from loramerge.rng import uniform_stream
 from conftest import deltas_bitwise_equal, random_delta_set, ties_reference
 
 
@@ -506,3 +509,125 @@ class TestGoldenDigests:
     def test_dare_ties(self):
         config = MergeConfig(("DARE", "TIES"), density=1.0, drop_rate=0.5, seed=7)
         self._check(merge(self._deltas(), config), self.DARE_TIES_SHA256)
+
+
+class TestChunkBoundaries:
+    """DARE's drops and TIES's election and disjoint mean run over fixed-size
+    chunks; a layer spanning several chunks with a ragged tail must give the
+    bytes of the whole-array expressions."""
+
+    SHAPE = (515, 300)
+
+    @classmethod
+    def _deltas(cls):
+        rng = np.random.default_rng(515300)
+        arrays = [rng.standard_normal(cls.SHAPE).astype(np.float32) for _ in range(3)]
+        # integer-valued band: equal magnitudes for the trim, exact
+        # cancellations for the election (2 - 2 + 0), and -0.0 inputs
+        band = slice(200, 260)
+        for a in arrays:
+            a[band] = rng.integers(-2, 3, size=a[band].shape)
+            a[::13] = -0.0
+        arrays[0][-1, :40], arrays[1][-1, :40], arrays[2][-1, :40] = 2.0, -2.0, -0.0
+        return [
+            DeltaMap.from_arrays({"w": a}, label=label)
+            for a, label in zip(arrays, ("en", "de", "fr"))
+        ]
+
+    @staticmethod
+    def _reference(deltas, config):
+        weights = config.weight_vector(len(deltas))
+        values = [d.layers["w"].values for d in deltas]
+        if "DARE" in config.pipeline:
+            p = config.effective_drop_rate
+            values = [
+                np.where(
+                    uniform_stream(config.seed, d.label, "w", v.size).reshape(v.shape) >= p,
+                    v.astype(np.float64) * (1.0 / (1.0 - p)),
+                    0.0,
+                ).astype(np.float32)
+                for d, v in zip(deltas, values)
+            ]
+        trimmed = [_trim_values(v, config.density) for v in values]
+        total = np.zeros(trimmed[0].shape)
+        for w, v in zip(weights, trimmed):
+            total += v.astype(np.float64) * w
+        signs = np.sign(total).astype(np.int8)
+        numer = np.zeros(signs.shape)
+        denom = np.zeros(signs.shape)
+        for w, v in zip(weights, trimmed):
+            match = (np.sign(v) == signs) & (signs != 0)
+            numer += v.astype(np.float64) * w * match
+            denom += match * w
+        out = np.zeros(signs.shape)
+        np.divide(numer, denom, out=out, where=denom > 0)
+        return out.astype(np.float32)
+
+    def test_layer_spans_several_chunks_with_a_tail(self):
+        size = math.prod(self.SHAPE)
+        assert size > 2 * merging._CHUNK and size % merging._CHUNK
+
+    @pytest.mark.parametrize(
+        "pipeline, density, drop_rate, weights",
+        [
+            (("DARE", "TIES"), 1.0, 0.5, None),
+            (("DARE", "TIES"), 0.5, None, None),
+            (("TIES",), 0.5, None, None),
+            (("TIES",), 0.5, None, (1.0, 2.5, 0.75)),
+            (("DARE", "TIES"), 1.0, 0.3, (0.5, 3.0, 1.25)),
+        ],
+    )
+    def test_bytes_equal_whole_array_reference(self, pipeline, density, drop_rate, weights):
+        config = MergeConfig(pipeline, density=density, drop_rate=drop_rate, weights=weights, seed=11)
+        deltas = self._deltas()
+        out = merge(deltas, config).layers["w"].values
+        expected = self._reference(deltas, config)
+        assert out.shape == self.SHAPE
+        assert out.tobytes() == expected.tobytes()
+
+    def test_dare_prune_bytes_equal_whole_array_reference(self):
+        for delta in self._deltas():
+            v = delta.layers["w"].values
+            u = uniform_stream(3, delta.label, "w", v.size).reshape(v.shape)
+            expected = np.where(u >= 0.5, v.astype(np.float64) * 2.0, 0.0).astype(np.float32)
+            out = dare_prune(delta, 0.5, seed=3).layers["w"].values
+            assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("start", [0, 4, 1000, 65536, 131072, 154496])
+    def test_stream_chunk_equals_slice_of_full_stream(self, start):
+        full = uniform_stream(5, "en", "w", 154500)
+        count = min(70000, full.size - start)
+        part = uniform_stream(5, "en", "w", count, start)
+        assert part.tobytes() == full[start : start + count].tobytes()
+
+    @pytest.mark.parametrize("start", [-4, 2, 65537])
+    def test_stream_start_must_be_a_counter_boundary(self, start):
+        with pytest.raises(ParameterError):
+            uniform_stream(5, "en", "w", 8, start)
+
+
+def test_dare_ties_peak_memory_is_about_one_layer_per_model():
+    """Besides its inputs, a streamed DARE+TIES merge holds one pruned layer
+    per model, the output and chunk-sized temporaries."""
+    rng = np.random.default_rng(99)
+    shapes = {"a": (1024, 768), "b": (768, 1024), "c": (512, 768), "d": (1024, 640)}
+    deltas = [
+        DeltaMap.from_arrays(
+            {name: rng.standard_normal(shape).astype(np.float32) for name, shape in shapes.items()},
+            label=label,
+        )
+        for label in ("en", "de", "fr")
+    ]
+    layer_bytes = [4 * math.prod(shape) for shape in shapes.values()]
+    bound = (len(deltas) + 2) * max(layer_bytes) + sum(layer_bytes)
+    config = MergeConfig(("DARE", "TIES"), density=1.0, drop_rate=0.5, seed=4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        merged = merge(deltas, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sorted(merged.layers) == sorted(shapes)
+    assert peak < bound, (peak, bound)
