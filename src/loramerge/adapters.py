@@ -128,7 +128,10 @@ class LowRankBlock:
     def values(self) -> np.ndarray:
         product = self.left.astype(np.float64) @ self.right.astype(np.float64)
         product *= self.scale
-        return TensorBlock(self.name, product.astype(np.float32)).values
+        # an entry past float32 range becomes inf and TensorBlock rejects it
+        with np.errstate(over="ignore"):
+            product = product.astype(np.float32)
+        return TensorBlock(self.name, product).values
 
 
 def factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -22,9 +22,11 @@ which is biased for every ``p != 0.5``; the expectation-preserving factor
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +45,17 @@ _PIPELINES = {
 # mean: their float64 temporaries stay cache-sized whatever the layer size.
 # A multiple of 4, so every chunk starts on a Philox counter boundary.
 _CHUNK = 1 << 16
+
+# Threads that run the chunks: one per CPU this process may run on, at most
+# _MAX_WORKERS.  The numpy kernels release the interpreter lock, so the
+# chunks run in parallel.  Each running step holds about 2.4 MB of float64
+# scratch, so peak memory grows with the count; merge time and peak memory
+# have been measured at two workers only.
+_MAX_WORKERS = 2
+_WORKERS = min(
+    _MAX_WORKERS,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
 
 
 @dataclass(frozen=True)
@@ -202,6 +215,48 @@ def trim(delta: DeltaMap, density: float) -> DeltaMap:
     return DeltaMap(layers, delta.label)
 
 
+def _for_chunks(step: Callable[[int], None], size: int) -> None:
+    """Run ``step(start)`` for every chunk start of a ``size``-entry layer.
+
+    The calling thread and up to ``_WORKERS - 1`` helper threads take starts
+    from one shared iterator; a helper that cannot be started is done
+    without.  Each step writes only its own output slice and
+    keeps its scratch to itself, so the bytes do not depend on which thread
+    runs which chunk.  Once a step raises, no thread takes another chunk;
+    the first exception is re-raised here after every helper has finished.
+    """
+    starts = iter(range(0, size, _CHUNK))
+    lock = threading.Lock()
+    errors: list[BaseException] = []
+
+    def drain() -> None:
+        try:
+            while not errors:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                step(start)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(min(_WORKERS, -(-size // _CHUNK)) - 1):
+            thread = threading.Thread(target=drain)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: the running ones drain the rest
+                break
+            helpers.append(thread)
+        drain()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     """Zero entries independently with probability ``drop_rate`` and rescale
     survivors by ``1 / (1 - drop_rate)``.
@@ -218,19 +273,21 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     for layer, block in delta.layers.items():
         values = block.values.ravel()
         kept = np.empty(values.size, dtype=np.float32)
-        scaled = np.empty(min(_CHUNK, values.size))
-        survives = np.empty(scaled.size, dtype=np.uint32)
-        for start in range(0, values.size, _CHUNK):
+
+        def step(start: int) -> None:
             stop = min(start + _CHUNK, values.size)
             u = uniform_stream(seed, delta.label, layer, stop - start, start)
-            part = scaled[: stop - start]
-            part[...] = values[start:stop]
-            part *= scale
-            kept[start:stop] = part
+            part = np.multiply(values[start:stop], scale, dtype=np.float64)
+            # an entry past float32 range becomes inf here and TensorBlock
+            # rejects it; errstate is per thread, so it is set in the step
+            with np.errstate(over="ignore"):
+                kept[start:stop] = part
             # a dropped entry's bits are multiplied by 0, which makes it +0.0
             # whatever its sign, with no per-entry branch on the random mask
             bits = kept[start:stop].view(np.uint32)
-            bits *= np.greater_equal(u, drop_rate, out=survives[: stop - start])
+            bits *= u >= drop_rate
+
+        _for_chunks(step, values.size)
         layers[layer] = TensorBlock(block.name, kept.reshape(block.shape))
     return DeltaMap(layers, delta.label)
 
@@ -270,19 +327,26 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
 
 
 def _ties_layer(
-    values: Sequence[np.ndarray], density: float | Fraction, weights: np.ndarray
+    values: Iterable[np.ndarray], density: float | Fraction, weights: np.ndarray
 ) -> np.ndarray:
     """Trim, elect sign and disjoint-merge one layer across the models.
 
-    The trim needs the whole layer's threshold; election and the disjoint
-    mean are entrywise, so they run chunk by chunk.
+    The trim needs the whole layer's threshold, so it runs serially, one
+    model at a time: a model's untrimmed layer can be freed once its trimmed
+    copy exists.  Election and the disjoint mean are entrywise, so they run
+    chunk by chunk on every worker.
     """
-    trimmed = [_trim_values(v, density).ravel() for v in values]
+    trimmed = [_trim_values(v, density) for v in values]
+    shape = trimmed[0].shape
+    trimmed = [t.ravel() for t in trimmed]
     merged = np.empty(trimmed[0].size, dtype=np.float32)
-    for start in range(0, merged.size, _CHUNK):
+
+    def step(start: int) -> None:
         part = [t[start : start + _CHUNK] for t in trimmed]
         merged[start : start + _CHUNK] = _disjoint(part, _elect(part, weights), weights)
-    return merged.reshape(values[0].shape)
+
+    _for_chunks(step, merged.size)
+    return merged.reshape(shape)
 
 
 def elect_sign(
@@ -328,7 +392,7 @@ def ties_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     w = config.weight_vector(len(deltas))
     layers = {
         layer: TensorBlock(
-            layer, _ties_layer([d.layers[layer].values for d in deltas], config.density, w)
+            layer, _ties_layer((d.layers[layer].values for d in deltas), config.density, w)
         )
         for layer in names
     }
@@ -425,17 +489,18 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
 
 def _pruned_layer(
     deltas: Sequence[DeltaMap], layer: str, config: MergeConfig
-) -> list[np.ndarray]:
-    """One layer of every model, DARE-pruned when the pipeline asks for it."""
+) -> Iterator[np.ndarray]:
+    """One layer of every model, DARE-pruned when the pipeline asks for it,
+    formed one model at a time as the caller iterates."""
     if "DARE" not in config.pipeline:
-        return [d.layers[layer].values for d in deltas]
+        return (d.layers[layer].values for d in deltas)
     p = config.effective_drop_rate
-    return [
+    return (
         dare_prune(DeltaMap({layer: d.layers[layer]}, d.label), p, config.seed)
         .layers[layer]
         .values
         for d in deltas
-    ]
+    )
 
 
 def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:

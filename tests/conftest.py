@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,23 @@ def write_raw_container(path, header: dict, payload: bytes) -> None:
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
         fh.write(payload)
+
+
+def failing_on_call(inner, number, error):
+    """Wrap ``inner`` so that its ``number``-th call, counted over all
+    threads, raises ``error``; the other calls go through."""
+    lock = threading.Lock()
+    calls = [0]
+
+    def wrapper(*args):
+        with lock:
+            calls[0] += 1
+            count = calls[0]
+        if count == number:
+            raise error
+        return inner(*args)
+
+    return wrapper
 
 
 def random_adapter(rng, layers=2, rank=2, max_dim=6, label="x", dims=None) -> LoraAdapter:

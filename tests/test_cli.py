@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 try:
     import resource
@@ -25,8 +26,9 @@ from loramerge import (
     save_adapter,
     save_delta,
 )
+from loramerge import merging
 from loramerge.cli import run
-from conftest import deltas_bitwise_equal, random_adapter
+from conftest import deltas_bitwise_equal, failing_on_call, random_adapter
 
 
 @pytest.fixture
@@ -157,6 +159,12 @@ def _write_config(path, pipeline, **extra):
     return str(path)
 
 
+def _run_child(argv, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "loramerge", *argv], capture_output=True, text=True, **kwargs
+    )
+
+
 class TestNonFiniteProduct:
     """Finite factors whose product overflows float32 fail at load on every path."""
 
@@ -197,9 +205,63 @@ class TestNonFiniteProduct:
         assert capsys.readouterr().err == "error[data]: tensor 'l' contains non-finite values\n"
         assert not os.path.exists(out)
 
+    def test_delta_child_prints_one_line(self, inputs):
+        """In a child process a numpy warning would reach stderr, too."""
+        tmp_path, (bad, _), _ = inputs
+        out = str(tmp_path / "out.tnsr")
+        result = _run_child(["delta", "--out", out, bad])
+        assert result.returncode == 1
+        assert result.stderr == "error[data]: tensor 'l' contains non-finite values\n"
+        assert not os.path.exists(out)
+
+
+class TestDareOverflow:
+    """Survivors rescaled past float32 range are reported by the single
+    ``error[data]`` line, with no numpy warning before it."""
+
+    def test_child_prints_one_line(self, tmp_path):
+        paths = []
+        for label in ("en", "de"):
+            delta = DeltaMap.from_arrays({"l": np.full((4, 4), 3e38, np.float32)}, label=label)
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(delta, paths[-1])
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], drop_rate=0.9, seed=1)
+        out = str(tmp_path / "out.tnsr")
+        result = _run_child(["merge", "--config", config, "--out", out, *paths])
+        assert result.returncode == 1
+        assert result.stderr == "error[data]: tensor 'l' contains non-finite values\n"
+        assert not os.path.exists(out)
+
+
+class TestStepErrorInMerge:
+    """A merge step failing on one chunk past the first gives the one-line
+    error, joins every helper thread and leaves no ``--out`` file."""
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_no_out_file(self, tmp_path, capfd, monkeypatch, target):
+        rng = np.random.default_rng(84)
+        paths = []
+        for label in ("en", "de", "fr"):
+            delta = DeltaMap.from_arrays(
+                {"w": rng.standard_normal((300, 500)).astype(np.float32)}, label=label
+            )
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(delta, paths[-1])
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+        failing = failing_on_call(getattr(merging, target), 2, NumericalError("injected failure"))
+        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(merging, target, failing)
+        before = threading.active_count()
+        out = str(tmp_path / "merged.tnsr")
+        assert run(["merge", "--config", config, "--out", out, *paths]) == 3
+        assert capfd.readouterr() == ("", "error[numerical]: injected failure\n")
+        assert threading.active_count() == before
+        assert not os.path.exists(out)
+
 
 class TestThreadCountDeterminism:
-    """Merges at a shape above OpenBLAS's threading threshold, 1 vs 2 threads."""
+    """Merges at a shape above OpenBLAS's threading threshold, 1 vs 2 BLAS
+    threads, and on one CPU vs all allowed CPUs."""
 
     @pytest.fixture(scope="class")
     def adapters(self, tmp_path_factory):
@@ -248,6 +310,30 @@ class TestThreadCountDeterminism:
             )
             assert result.returncode == 0, result.stderr
             outputs.append(open(out, "rb").read())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs at least two CPUs this process may run on",
+    )
+    @pytest.mark.parametrize("pipeline", [["TIES"], ["DARE", "TIES"]], ids=["ties", "dare-ties"])
+    def test_byte_identical_across_core_counts(self, adapters, pipeline):
+        """The chunked steps use one thread per allowed CPU: pinned to one
+        CPU and with all of them, a merge writes the same bytes."""
+        tmp_path, paths = adapters
+        name = "-".join(pipeline)
+        config = _write_config(tmp_path / f"{name}-cores.json", pipeline, seed=42)
+        allowed = os.sched_getaffinity(0)
+        outputs = []
+        for cpus in ({min(allowed)}, allowed):
+            out = str(tmp_path / f"{name}-c{len(cpus)}.tnsr")
+            result = _run_child(
+                ["merge", "--config", config, "--out", out, *paths],
+                preexec_fn=lambda: os.sched_setaffinity(0, cpus),
+            )
+            assert result.returncode == 0, result.stderr
+            with open(out, "rb") as fh:
+                outputs.append(fh.read())
         assert outputs[0] == outputs[1]
 
 

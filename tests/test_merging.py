@@ -1,12 +1,17 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from loramerge import (
     AlignmentError,
+    DataError,
     DeltaMap,
     MergeConfig,
     ParameterError,
@@ -18,9 +23,10 @@ from loramerge import (
     trim,
 )
 from loramerge import merging
+from loramerge.adapters import LowRankBlock
 from loramerge.merging import _disjoint, _trim_count, _trim_values
 from loramerge.rng import uniform_stream
-from conftest import deltas_bitwise_equal, random_delta_set, ties_reference
+from conftest import deltas_bitwise_equal, failing_on_call, random_delta_set, ties_reference
 
 
 def _single(values, label="x"):
@@ -604,6 +610,193 @@ class TestChunkBoundaries:
     def test_stream_start_must_be_a_counter_boundary(self, start):
         with pytest.raises(ParameterError):
             uniform_stream(5, "en", "w", 8, start)
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so chunks interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestWorkerCounts:
+    """The chunked steps run on every allowed core; the bytes must not depend
+    on how many threads take the chunks, nor on which thread takes which."""
+
+    WORKERS = (1, 2, 3, 8)
+
+    @staticmethod
+    def _deltas():
+        assert 129 * 4096 > 8 * merging._CHUNK
+        rng = np.random.default_rng(1294096)
+        deltas = []
+        for delta in TestChunkBoundaries._deltas():
+            # 129 x 4096: eight full chunks and a tail, also as KnOTS
+            # components (k = 129 on the dense route)
+            big = rng.standard_normal((129, 4096)).astype(np.float32)
+            big[::5, ::3] = -0.0
+            arrays = {"w": delta.layers["w"].values, "big": big}
+            deltas.append(DeltaMap.from_arrays(arrays, label=delta.label))
+        return deltas
+
+    @pytest.mark.parametrize(
+        "pipeline, density",
+        [
+            (("TIES",), 0.5),
+            (("DARE", "TIES"), 1.0),
+            (("DARE", "TIES"), 0.5),
+            (("KNOTS", "TIES"), 0.5),
+            (("DARE", "KNOTS", "TIES"), 0.5),
+        ],
+        ids=["ties", "dare-ties", "dare-ties-trim", "knots-ties", "dare-knots-ties"],
+    )
+    def test_merge_bytes(self, monkeypatch, fast_switching, pipeline, density):
+        deltas = self._deltas()
+        config = MergeConfig(pipeline, density=density, seed=13)
+        outputs = []
+        for workers in self.WORKERS:
+            monkeypatch.setattr(merging, "_WORKERS", workers)
+            out = merge(deltas, config)
+            outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
+        assert all(out == outputs[0] for out in outputs)
+
+    def test_dare_prune_bytes(self, monkeypatch, fast_switching):
+        for delta in self._deltas():
+            outputs = []
+            for workers in self.WORKERS:
+                monkeypatch.setattr(merging, "_WORKERS", workers)
+                out = dare_prune(delta, 0.3, seed=17)
+                outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
+            assert all(out == outputs[0] for out in outputs)
+
+    def test_every_chunk_runs_once_over_several_threads(self, monkeypatch, fast_switching):
+        monkeypatch.setattr(merging, "_WORKERS", 8)
+        size = 40 * merging._CHUNK + 3
+        before = threading.active_count()
+        starts, threads = [], set()
+
+        def step(start):
+            time.sleep(0.001)
+            starts.append(start)
+            threads.add(threading.get_ident())
+
+        merging._for_chunks(step, size)
+        assert sorted(starts) == list(range(0, size, merging._CHUNK))
+        assert len(threads) > 1
+        assert threading.active_count() == before
+
+    def test_overflow_on_a_helper_thread_is_a_data_error(self, monkeypatch, fast_switching):
+        # numpy's error state does not carry over to new threads: a step must
+        # silence the overflowing cast itself, on whichever thread it runs
+        monkeypatch.setattr(merging, "_WORKERS", 3)
+        big = DeltaMap.from_arrays({"w": np.full((8, merging._CHUNK), 3e38, np.float32)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="non-finite"):
+                dare_prune(big, 0.9, seed=1)
+
+    def test_helper_that_cannot_start_is_done_without(self, monkeypatch):
+        # under a process or thread limit Thread.start raises RuntimeError;
+        # the threads already running take the remaining chunks
+        deltas = self._deltas()
+        config = MergeConfig(("DARE", "TIES"), density=0.5, seed=13)
+        monkeypatch.setattr(merging, "_WORKERS", 1)
+        expected = {n: b.values.tobytes() for n, b in merge(deltas, config).layers.items()}
+        monkeypatch.setattr(merging, "_WORKERS", 3)
+        before = threading.active_count()
+        error = RuntimeError("can't start new thread")
+        monkeypatch.setattr(
+            threading.Thread, "start", failing_on_call(threading.Thread.start, 2, error)
+        )
+        out = merge(deltas, config)
+        assert {n: b.values.tobytes() for n, b in out.layers.items()} == expected
+        assert threading.active_count() == before
+
+    def test_one_chunk_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(merging, "_WORKERS", 8)
+        threads = []
+        merging._for_chunks(lambda start: threads.append(threading.get_ident()), merging._CHUNK)
+        assert threads == [threading.get_ident()]
+
+
+class _Injected(Exception):
+    pass
+
+
+class TestStepErrors:
+    """An exception in a chunk step, on any thread, reaches the caller of
+    ``merge``; every helper thread is joined and nothing is printed."""
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_merge_reraises_the_step_error(self, monkeypatch, capfd, target):
+        monkeypatch.setattr(merging, "_WORKERS", 3)
+        # the second call is one chunk past the first
+        failing = failing_on_call(getattr(merging, target), 2, _Injected(target))
+        monkeypatch.setattr(merging, target, failing)
+        before = threading.active_count()
+        config = MergeConfig(("DARE", "TIES"), density=0.5, seed=5)
+        with pytest.raises(_Injected, match=target):
+            merge(TestChunkBoundaries._deltas(), config)
+        assert threading.active_count() == before
+        assert capfd.readouterr() == ("", "")
+
+    def test_first_error_stops_the_other_workers(self, monkeypatch):
+        monkeypatch.setattr(merging, "_WORKERS", 3)
+        size = 200 * merging._CHUNK
+        before = threading.active_count()
+        ran = []
+
+        def step(start):
+            if start == merging._CHUNK:
+                raise _Injected(start)
+            time.sleep(0.001)
+            ran.append(start)
+
+        with pytest.raises(_Injected):
+            merging._for_chunks(step, size)
+        assert len(ran) < size // merging._CHUNK // 2
+        assert threading.active_count() == before
+
+
+def test_ties_peak_memory_trims_one_dense_layer_at_a_time():
+    """A TIES merge of low-rank layers densifies and trims one model at a
+    time, so it holds the trimmed copies, one dense layer and the trim's
+    temporaries, not every model's dense layer besides."""
+    rng = np.random.default_rng(98)
+    shapes = {"a": (1024, 768), "b": (768, 1024), "c": (512, 768)}
+    deltas = [
+        DeltaMap(
+            {
+                name: LowRankBlock(
+                    name,
+                    rng.standard_normal((shape[0], 8)).astype(np.float32),
+                    rng.standard_normal((8, shape[1])).astype(np.float32),
+                    0.5,
+                )
+                for name, shape in shapes.items()
+            },
+            label,
+        )
+        for label in ("en", "de", "fr", "es", "it")
+    ]
+    layer_bytes = [4 * math.prod(shape) for shape in shapes.values()]
+    # M trimmed copies, one dense layer, and the trim's |v| and partition
+    # copies (or the densify's float64 product), plus the output
+    bound = (len(deltas) + 3) * max(layer_bytes) + sum(layer_bytes)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        merged = merge(deltas, MergeConfig(("TIES",), density=0.5))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert sorted(merged.layers) == sorted(shapes)
+    assert peak < bound, (peak, bound)
 
 
 def test_dare_ties_peak_memory_is_about_one_layer_per_model():
