@@ -7,7 +7,10 @@ to the base weights, ``(alpha / rank) * B @ A``; with the common alpha ==
 rank configuration the scale factor is exactly 1.  Deltas, not raw factors,
 are what the merging engine consumes.  An adapter's delta layers stay
 factored (:class:`LowRankBlock`) and are formed one layer at a time, when a
-step needs the dense values.
+step needs the dense values; a delta file's layers stay in the file
+(:class:`FileBlock`) and are read one layer at a time, when a step needs
+them; a streamed merge's layers (:class:`PendingBlock`) are merged when
+they are read.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
@@ -17,11 +20,12 @@ with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import container
+from .blas import one_thread
 from .errors import (
     DataError,
     FormatError,
@@ -38,7 +42,7 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True, eq=False)
-class TensorBlock:
+class TensorBlock(container.CheckedBlock):
     """A named float32 array; the unit of all merging arithmetic."""
 
     name: str
@@ -68,7 +72,7 @@ class TensorBlock:
 
 
 @dataclass(frozen=True, eq=False)
-class LowRankBlock:
+class LowRankBlock(container.CheckedBlock):
     """A named layer ``scale * left @ right``, densified when it is read.
 
     ``left`` is d_out x r and ``right`` r x d_in, both float32.  ``values``
@@ -141,16 +145,60 @@ def factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
     reduces the problem to the k-row matrix ``R @ right`` (Halko, Martinsson
     & Tropp, arXiv:0909.4061), which yields k singular triplets.
     """
-    q, r = np.linalg.qr(left)
-    u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
+    with one_thread():
+        q, r = np.linalg.qr(left)
+        u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
     return q @ u, s, vt
 
 
 @dataclass(frozen=True, eq=False)
-class LoraAdapter:
-    """Per-layer (A, B) factor pairs sharing one rank and alpha."""
+class FileBlock(container.CheckedBlock):
+    """A named layer stored as tensor ``tensor`` of a container file, read
+    each time its values are read.
 
-    layers: dict[str, tuple[TensorBlock, TensorBlock]]
+    ``values`` has the ``TensorBlock`` contract: one read at the tensor's
+    offset into a fresh read-only buffer, checked for non-finite values
+    there.  It is not cached, so only the layers a step works on are held in
+    memory.
+    """
+
+    name: str
+    source: container.TensorFile
+    tensor: str
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.source.shapes[self.tensor]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.source.read(self.tensor)
+
+
+@dataclass(frozen=True, eq=False)
+class PendingBlock(container.CheckedBlock):
+    """A named layer of known shape that ``make()`` forms, each time it is
+    read: a layer of a streamed merge.
+
+    ``make`` returns a ``TensorBlock`` or ``LowRankBlock``; ``values`` is its
+    values, with their contract.  It is not cached.
+    """
+
+    name: str
+    shape: tuple[int, ...]
+    make: Callable[[], "TensorBlock | LowRankBlock"]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.make().values
+
+
+@dataclass(frozen=True, eq=False)
+class LoraAdapter:
+    """Per-layer (A, B) factor pairs sharing one rank and alpha; a pair may
+    be pending (see :func:`refactor_to_adapter`)."""
+
+    layers: dict[str, tuple[TensorBlock, TensorBlock] | tuple[PendingBlock, PendingBlock]]
     rank: int
     alpha: float
     label: str = ""
@@ -166,7 +214,7 @@ class LoraAdapter:
         if not (float(self.alpha) > 0 and np.isfinite(self.alpha)):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         for layer, (a, b) in self.layers.items():
-            if a.values.ndim != 2 or b.values.ndim != 2:
+            if len(a.shape) != 2 or len(b.shape) != 2:
                 raise ValidationError(f"layer {layer!r}: A and B must be 2-D")
             if a.shape[0] != self.rank or b.shape[1] != self.rank:
                 raise ValidationError(
@@ -177,9 +225,10 @@ class LoraAdapter:
 
 @dataclass(frozen=True, eq=False)
 class DeltaMap:
-    """Per-layer delta tensors for one labelled model, dense or low-rank."""
+    """Per-layer delta tensors for one labelled model, dense, low-rank,
+    stored in a file or pending."""
 
-    layers: dict[str, TensorBlock | LowRankBlock]
+    layers: dict[str, TensorBlock | LowRankBlock | FileBlock | PendingBlock]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -213,12 +262,15 @@ def compute_delta(adapter: LoraAdapter) -> DeltaMap:
 
 
 def save_adapter(adapter: LoraAdapter, path: str) -> None:
-    """Write an adapter; revalidates first so nothing is written on failure."""
+    """Write an adapter; revalidates first so nothing is written on failure.
+
+    Pending factors are formed one layer at a time, as they are written.
+    """
     adapter.validate()
     tensors = {}
     for layer, (a, b) in adapter.layers.items():
-        tensors[layer + _A_SUFFIX] = a.values
-        tensors[layer + _B_SUFFIX] = b.values
+        tensors[layer + _A_SUFFIX] = a
+        tensors[layer + _B_SUFFIX] = b
     metadata = {
         "rank": str(adapter.rank),
         "alpha": repr(float(adapter.alpha)),
@@ -274,40 +326,46 @@ def load_adapter(path: str) -> LoraAdapter:
 
 
 def save_delta(delta: DeltaMap, path: str) -> None:
+    """Write a delta; a layer not held in memory (file-backed, low-rank or
+    pending) is formed when its turn to be written comes."""
     delta.validate()
-    tensors = {layer + _DELTA_SUFFIX: block.values for layer, block in delta.layers.items()}
+    tensors = {layer + _DELTA_SUFFIX: block for layer, block in delta.layers.items()}
     container.write_tensors(path, tensors, {"label": delta.label})
 
 
-def _delta_from_payload(
-    tensors: dict[str, np.ndarray], metadata: dict[str, str], path: str
-) -> DeltaMap:
-    if "label" not in metadata:
-        raise FormatError(f"{path}: delta metadata is missing 'label'")
-    layers: dict[str, TensorBlock] = {}
-    for name, arr in tensors.items():
+def _delta_from_file(source: container.TensorFile) -> DeltaMap:
+    if "label" not in source.metadata:
+        raise FormatError(f"{source.path}: delta metadata is missing 'label'")
+    layers: dict[str, FileBlock] = {}
+    for name in source.shapes:
         if not name.endswith(_DELTA_SUFFIX) or len(name) == len(_DELTA_SUFFIX):
             raise FormatError(
-                f"{path}: tensor {name!r} does not follow the <layer>.delta convention"
+                f"{source.path}: tensor {name!r} does not follow the <layer>.delta convention"
             )
-        layers[name[: -len(_DELTA_SUFFIX)]] = TensorBlock(name[: -len(_DELTA_SUFFIX)], arr)
-    return DeltaMap(layers, metadata["label"])
+        layer = name[: -len(_DELTA_SUFFIX)]
+        layers[layer] = FileBlock(layer, source, name)
+    return DeltaMap(layers, source.metadata["label"])
 
 
 def load_delta(path: str) -> DeltaMap:
-    """Read and validate a delta container file."""
-    tensors, metadata = container.read_tensors(path)
-    return _delta_from_payload(tensors, metadata, path)
+    """Open a delta container file: its header and layout are checked now,
+    and each layer is read from the file (and checked) when it is used."""
+    return _delta_from_file(container.TensorFile(path))
 
 
 def load_as_delta(path: str) -> DeltaMap:
-    """Load either a delta file or an adapter file (computing its delta)."""
-    tensors, metadata = container.read_tensors(path)
-    names = list(tensors)
+    """Open a delta file (see :func:`load_delta`) or load an adapter file
+    and compute its delta; the file kind follows from the tensor names."""
+    source = container.TensorFile(path)
+    names = list(source.shapes)
     if all(n.endswith(_DELTA_SUFFIX) for n in names):
-        return _delta_from_payload(tensors, metadata, path)
-    if all(n.endswith((_A_SUFFIX, _B_SUFFIX)) for n in names):
-        return compute_delta(_adapter_from_payload(tensors, metadata, path))
+        return _delta_from_file(source)
+    try:
+        if all(n.endswith((_A_SUFFIX, _B_SUFFIX)) for n in names):
+            tensors = {name: source.read(name) for name in names}
+            return compute_delta(_adapter_from_payload(tensors, source.metadata, path))
+    finally:
+        source.close()
     raise FormatError(f"{path}: mixed or unknown tensor naming, cannot infer file kind")
 
 
@@ -318,7 +376,8 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     ``rank`` singular triplets.  The result uses alpha == rank so its
     reconstructed delta is plain ``B @ A``.  A low-rank layer whose own rank
     is below its dimensions (and at least ``rank``) is factored without
-    forming its dense values.
+    forming its dense values.  A pending layer gives pending factors, formed
+    when they are read.
     """
     delta.validate()
     if not isinstance(rank, int) or rank < 1:
@@ -328,22 +387,55 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
             raise ParameterError(
                 f"refactor rank {rank} exceeds min dimension of layer {layer!r} {block.shape}"
             )
-    layers: dict[str, tuple[TensorBlock, TensorBlock]] = {}
-    for layer, block in delta.layers.items():
-        try:
-            if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
-                u, s, vt = factored_svd(
-                    block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
-                )
-            else:
-                u, s, vt = np.linalg.svd(block.values.astype(np.float64), full_matrices=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
-        root = np.sqrt(s[:rank])
-        b = (u[:, :rank] * root).astype(np.float32)
-        a = (root[:, None] * vt[:rank]).astype(np.float32)
-        layers[layer] = (
-            TensorBlock(layer + _A_SUFFIX, a),
-            TensorBlock(layer + _B_SUFFIX, b),
+    layers = {
+        layer: (
+            _pending_factors(layer, block, rank)
+            if isinstance(block, PendingBlock)
+            else _factors(layer, block, rank)
         )
+        for layer, block in delta.layers.items()
+    }
     return LoraAdapter(layers, rank, float(rank), delta.label)
+
+
+def _factors(
+    layer: str, block: TensorBlock | LowRankBlock | FileBlock, rank: int
+) -> tuple[TensorBlock, TensorBlock]:
+    """One layer's rank-``rank`` factors ``(A, B)``."""
+    try:
+        if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
+            u, s, vt = factored_svd(
+                block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
+            )
+        else:
+            dense = block.values.astype(np.float64)
+            with one_thread():
+                u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
+    root = np.sqrt(s[:rank])
+    b = (u[:, :rank] * root).astype(np.float32)
+    a = (root[:, None] * vt[:rank]).astype(np.float32)
+    return TensorBlock(layer + _A_SUFFIX, a), TensorBlock(layer + _B_SUFFIX, b)
+
+
+def _pending_factors(
+    layer: str, block: PendingBlock, rank: int
+) -> tuple[PendingBlock, PendingBlock]:
+    """A pending layer's factors ``(A, B)``: reading either forms the layer
+    and both factors, and the other is held until it is read."""
+    held: dict[int, TensorBlock] = {}
+
+    def part(index: int) -> Callable[[], TensorBlock]:
+        def make() -> TensorBlock:
+            if index not in held:
+                held.update(enumerate(_factors(layer, block.make(), rank)))
+            return held.pop(index)
+
+        return make
+
+    d_out, d_in = block.shape
+    return (
+        PendingBlock(layer + _A_SUFFIX, (rank, d_in), part(0)),
+        PendingBlock(layer + _B_SUFFIX, (d_out, rank), part(1)),
+    )

@@ -137,8 +137,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     if overrides:
         config = dataclasses.replace(config, **overrides)
 
+    # the inputs' headers are read now and their layers as the output is
+    # written, one layer at a time (lazy_merge)
     deltas = [load_as_delta(path) for path in args.inputs]
-    merged = merging.merge(deltas, config)
+    merged = merging.lazy_merge(deltas, config)
     if args.refactor_rank is not None:
         save_adapter(refactor_to_adapter(merged, args.refactor_rank), args.out)
     else:

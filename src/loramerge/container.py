@@ -12,11 +12,14 @@ File layout:
 Offsets must tile the payload exactly: non-overlapping, gap-free, starting
 at 0.  Writers emit tensors in sorted-name order with a canonical compact
 JSON header, so identical inputs produce identical bytes.  Only float32 is
-supported; non-finite payload values are rejected at load time.
+supported; non-finite payload values are rejected when a tensor is read.
 
 A write goes to a temporary file beside the target and is renamed over it
-only when complete, so a failed write leaves no partial file.  A read copies
-the payload once into a fresh buffer and hands out read-only views of it.
+only when complete, so a failed write leaves no partial file.  The header
+follows from the tensors' shapes, so a tensor whose values are formed late
+(a block) is written at its offset as soon as it exists.  A read opens the
+file, checks the header and layout, and reads each tensor at its offset
+when it is asked for (:class:`TensorFile`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import json
 import math
 import os
 import struct
+import threading
+from typing import Mapping
 
 import numpy as np
 
@@ -41,20 +46,40 @@ def _canonical_header_bytes(header: dict) -> bytes:
     )
 
 
-def write_tensors(path: str, tensors: dict[str, np.ndarray], metadata: dict[str, str] | None = None) -> None:
-    """Write named float32 arrays (and optional string metadata) to ``path``."""
+class CheckedBlock:
+    """Base of the layer types whose ``values`` are checked where they are
+    formed: a ``shape``, and a ``values`` array of that shape that is
+    float32, C-order and finite, and may be formed only when it is read.
+    :func:`write_tensors` writes such a block without checking it again."""
+
+    __slots__ = ()
+
+
+def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None = None) -> None:
+    """Write named float32 tensors (and optional string metadata) to ``path``.
+
+    Each value is a :class:`CheckedBlock`, whose values are read only when
+    its turn to be written comes, or anything else that converts to a
+    float32 array, which is converted and checked before the file is
+    created.  Tensors are taken in the mapping's order, and each is written
+    at its offset in the sorted-name layout as soon as its values exist, so
+    a block's values need not outlive their write.
+    """
     if not tensors:
         raise FormatError("refusing to write a container with no tensors")
+    shapes: dict[str, tuple[int, ...]] = {}
     arrays: dict[str, np.ndarray] = {}
-    for name in sorted(tensors):
+    for name, value in tensors.items():
         if not name:
             raise FormatError("tensor names must be non-empty")
-        arr = np.ascontiguousarray(tensors[name], dtype=_F32)
-        if arr.ndim < 1 or any(d < 1 for d in arr.shape):
+        block = isinstance(value, CheckedBlock)
+        if not block:
+            value = arrays[name] = np.ascontiguousarray(value, dtype=_F32)
+        shape = shapes[name] = tuple(value.shape)
+        if not shape or any(d < 1 for d in shape):
             raise FormatError(f"tensor {name!r} must have >=1 dimension, all sizes >=1")
-        if not np.isfinite(arr).all():
+        if not block and not np.isfinite(value).all():
             raise DataError(f"tensor {name!r} contains non-finite values")
-        arrays[name] = arr
 
     header: dict = {}
     if metadata is not None:
@@ -62,20 +87,20 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray], metadata: dict[str,
             if not isinstance(key, str) or not isinstance(value, str):
                 raise FormatError("metadata keys and values must be strings")
         header["__metadata__"] = dict(metadata)
-
     offset = 0
-    for name, arr in arrays.items():
-        nbytes = arr.size * 4
+    for name in sorted(shapes):
+        nbytes = 4 * math.prod(shapes[name])
         header[name] = {
             "dtype": "F32",
-            "shape": list(arr.shape),
+            "shape": list(shapes[name]),
             "data_offsets": [offset, offset + nbytes],
         }
         offset += nbytes
 
     blob = _canonical_header_bytes(header)
-    directory, base = os.path.split(os.path.abspath(path))
-    temp = os.path.join(directory, f".{base}.{os.urandom(8).hex()}.tmp")
+    base = _LEN_BYTES + len(blob)
+    directory, filename = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{filename}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(temp, "xb")
     except OSError as exc:
@@ -84,7 +109,15 @@ def write_tensors(path: str, tensors: dict[str, np.ndarray], metadata: dict[str,
         with fh:
             fh.write(struct.pack(_LEN_FMT, len(blob)))
             fh.write(blob)
-            for arr in arrays.values():
+            for name, value in tensors.items():
+                arr = arrays.pop(name, None)
+                if arr is None:
+                    arr = np.ascontiguousarray(value.values, dtype=_F32)
+                    if arr.shape != shapes[name]:
+                        raise FormatError(
+                            f"tensor {name!r} is {arr.shape}, its block says {shapes[name]}"
+                        )
+                fh.seek(base + header[name]["data_offsets"][0])
                 fh.write(memoryview(arr).cast("B"))
         os.replace(temp, path)
     except BaseException as exc:
@@ -114,7 +147,9 @@ def _parse_header(raw: bytes | bytearray, path: str) -> dict:
     return header
 
 
-def _read_exact(fh, buffer: memoryview, path: str) -> None:
+def _read_at(fh, buffer: memoryview, offset: int, path: str) -> None:
+    """Fill ``buffer`` from ``offset`` of the open file."""
+    fh.seek(offset)
     done = 0
     while done < len(buffer):
         got = fh.readinto(buffer[done:])
@@ -123,51 +158,37 @@ def _read_exact(fh, buffer: memoryview, path: str) -> None:
         done += got
 
 
-def _read_raw(path: str, with_payload: bool = True) -> tuple[dict, np.ndarray | None]:
-    """Read the header and, if asked, the payload into one fresh read-only
-    buffer."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < _LEN_BYTES:
-                raise FormatError(f"{path}: file too short for a header length field")
-            field = bytearray(_LEN_BYTES)
-            _read_exact(fh, memoryview(field), path)
-            (header_len,) = struct.unpack(_LEN_FMT, field)
-            if header_len > size - _LEN_BYTES:
-                raise FormatError(
-                    f"{path}: header length {header_len} exceeds file size {size}"
-                )
-            raw = bytearray(header_len)
-            _read_exact(fh, memoryview(raw), path)
-            header = _parse_header(raw, path)
-            if not with_payload:
-                return header, None
-            payload = np.empty(size - _LEN_BYTES - header_len, dtype=np.uint8)
-            _read_exact(fh, memoryview(payload), path)
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    payload.setflags(write=False)
-    return header, payload
+def _read_header(fh, path: str) -> tuple[dict, int, int]:
+    """The parsed header, the payload's start in the file and its size."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < _LEN_BYTES:
+        raise FormatError(f"{path}: file too short for a header length field")
+    field = bytearray(_LEN_BYTES)
+    _read_at(fh, memoryview(field), 0, path)
+    (header_len,) = struct.unpack(_LEN_FMT, field)
+    if header_len > size - _LEN_BYTES:
+        raise FormatError(f"{path}: header length {header_len} exceeds file size {size}")
+    raw = bytearray(header_len)
+    _read_at(fh, memoryview(raw), _LEN_BYTES, path)
+    return _parse_header(raw, path), _LEN_BYTES + header_len, size - _LEN_BYTES - header_len
 
 
 def read_header(path: str) -> dict:
     """Parse and return the raw JSON header of a container file; the payload
     is not read."""
-    header, _ = _read_raw(path, with_payload=False)
-    return header
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            return _read_header(fh, path)[0]
+    except OSError as exc:
+        raise StorageError(f"cannot read {path}: {exc}") from exc
 
 
-def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Load all tensors and metadata from ``path``, validating the layout.
-
-    Returns ``(tensors, metadata)`` where arrays are float32, C-order, and
-    read-only views of one buffer holding the file's payload, read with a
-    single copy.  Raises FormatError / OverlapError / DataError on malformed
-    files and StorageError when the file cannot be read.
-    """
-    header, payload = _read_raw(path)
-
+def _layout(
+    header: dict, payload_size: int, path: str
+) -> tuple[dict[str, str], dict[str, tuple[int, ...]], dict[str, int]]:
+    """Check a header against the payload size: metadata, then every tensor's
+    dtype, shape and offsets, which must tile the payload.  Returns the
+    metadata, the shapes and the begin offsets, in header order."""
     metadata: dict[str, str] = {}
     meta_obj = header.pop("__metadata__", None)
     if meta_obj is not None:
@@ -180,8 +201,9 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     if not header:
         raise FormatError(f"{path}: container holds no tensors")
 
+    shapes: dict[str, tuple[int, ...]] = {}
+    begins: dict[str, int] = {}
     spans: list[tuple[int, int, str]] = []
-    tensors: dict[str, np.ndarray] = {}
     for name, entry in header.items():
         if not isinstance(entry, dict):
             raise FormatError(f"{path}: entry for {name!r} must be an object")
@@ -207,9 +229,11 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
             raise FormatError(
                 f"{path}: tensor {name!r} spans {end - begin} bytes, shape needs {nbytes}"
             )
-        if end > len(payload):
+        if end > payload_size:
             raise FormatError(f"{path}: tensor {name!r} offsets exceed the payload")
         spans.append((begin, end, name))
+        shapes[name] = tuple(shape)
+        begins[name] = begin
 
     spans.sort()
     cursor = 0
@@ -219,16 +243,72 @@ def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
         if begin > cursor:
             raise FormatError(f"{path}: gap before tensor {name!r} at offset {begin}")
         cursor = end
-    if cursor != len(payload):
-        raise FormatError(f"{path}: {len(payload) - cursor} trailing payload bytes")
+    if cursor != payload_size:
+        raise FormatError(f"{path}: {payload_size - cursor} trailing payload bytes")
+    return metadata, shapes, begins
 
-    # views of the read-only payload, which starts its own buffer: every
-    # offset is a multiple of 4, so each view is aligned whatever the header
-    # length
-    for name, entry in header.items():
-        begin, end = entry["data_offsets"]
-        arr = payload[begin:end].view(_F32).reshape(entry["shape"])
+
+class TensorFile:
+    """A container file open for reading.
+
+    Opening reads the header alone and checks the layout (dtypes, shapes,
+    offsets tiling the payload), so ``metadata`` and ``shapes`` (header
+    order) are known before any payload is read.  :meth:`read` reads one
+    tensor at its offset into a fresh buffer and checks it for
+    non-finite values there.  Reads go through the descriptor opened here,
+    so they see the file that was checked even after its path is replaced;
+    it stays open until :meth:`close` or until the object is collected.
+    """
+
+    _fh = None
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._lock = threading.Lock()  # a read is a seek, then reads
+        try:
+            self._fh = open(path, "rb", buffering=0)
+            header, self._base, payload_size = _read_header(self._fh, path)
+            self.metadata, self.shapes, self._begins = _layout(header, payload_size, path)
+        except OSError as exc:
+            self.close()
+            raise StorageError(f"cannot read {path}: {exc}") from exc
+        except BaseException:
+            self.close()
+            raise
+
+    def read(self, name: str) -> np.ndarray:
+        """Tensor ``name``: a float32 C-order view of a fresh buffer, which is
+        read-only, so the view cannot be made writable."""
+        shape = self.shapes[name]
+        payload = np.empty(4 * math.prod(shape), dtype=np.uint8)
+        try:
+            with self._lock:
+                _read_at(self._fh, memoryview(payload), self._base + self._begins[name], self.path)
+        except OSError as exc:
+            raise StorageError(f"cannot read {self.path}: {exc}") from exc
+        payload.setflags(write=False)
+        arr = payload.view(_F32).reshape(shape)
         if not np.isfinite(arr).all():
-            raise DataError(f"{path}: tensor {name!r} contains non-finite values")
-        tensors[name] = arr
-    return tensors, metadata
+            raise DataError(f"{self.path}: tensor {name!r} contains non-finite values")
+        return arr
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+
+    __del__ = close
+
+
+def read_tensors(path: str) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Load all tensors and metadata from ``path``, validating the layout.
+
+    Returns ``(tensors, metadata)`` where arrays are float32, C-order and
+    read-only, each read at its offset.  Raises FormatError /
+    OverlapError / DataError on malformed files and StorageError when the
+    file cannot be read.
+    """
+    source = TensorFile(path)
+    try:
+        return {name: source.read(name) for name in source.shapes}, dict(source.metadata)
+    finally:
+        source.close()

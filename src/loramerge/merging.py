@@ -11,6 +11,12 @@ the inner merge on those components, and reconstructs.  When every model's
 layer is low-rank (adapter inputs), the SVD runs on the factors and the
 reconstruction stays low-rank.
 
+Every pipeline runs one layer at a time: each model's layer is read, DARE-
+pruned, run through KnOTS and TIES, and the merged layer is done before the
+next layer is touched.  :func:`lazy_merge` leaves each merged layer pending
+until it is read, so writing the result streams the merge from the input
+files to the output file.
+
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
 
@@ -21,6 +27,7 @@ which is biased for every ``p != 0.5``; the expectation-preserving factor
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -30,7 +37,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .adapters import DeltaMap, LowRankBlock, TensorBlock, factored_svd
+from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, factored_svd
+from .blas import one_thread
 from .errors import AlignmentError, NumericalError, ParameterError
 from .rng import uniform_stream
 
@@ -425,7 +433,8 @@ def _concat_svd(blocks: Sequence[TensorBlock | LowRankBlock]) -> tuple[np.ndarra
         and sum(b.rank for b in blocks) < min(d_out, count * d_in)
     ):
         concat = np.concatenate([b.values for b in blocks], axis=1, dtype=np.float64)
-        return np.linalg.svd(concat, full_matrices=False)
+        with one_thread():
+            return np.linalg.svd(concat, full_matrices=False)
     # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
     left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
     right = np.zeros((left.shape[1], count * d_in))
@@ -487,42 +496,64 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     return DeltaMap(layers, _joint_label(deltas))
 
 
-def _pruned_layer(
-    deltas: Sequence[DeltaMap], layer: str, config: MergeConfig
-) -> Iterator[np.ndarray]:
-    """One layer of every model, DARE-pruned when the pipeline asks for it,
-    formed one model at a time as the caller iterates."""
+def _layer_maps(deltas: Sequence[DeltaMap], layer: str, config: MergeConfig) -> Iterator[DeltaMap]:
+    """Each model's ``layer`` as a one-layer map, DARE-pruned when the
+    pipeline asks for it, formed one model at a time as the caller iterates."""
+    maps = (DeltaMap({layer: d.layers[layer]}, d.label) for d in deltas)
     if "DARE" not in config.pipeline:
-        return (d.layers[layer].values for d in deltas)
-    p = config.effective_drop_rate
-    return (
-        dare_prune(DeltaMap({layer: d.layers[layer]}, d.label), p, config.seed)
-        .layers[layer]
-        .values
-        for d in deltas
-    )
+        return maps
+    return (dare_prune(m, config.effective_drop_rate, config.seed) for m in maps)
+
+
+def _layer_merger(
+    deltas: Sequence[DeltaMap], config: MergeConfig
+) -> tuple[list[str], Callable[[str], TensorBlock | LowRankBlock]]:
+    """Check the inputs against the config, then return the aligned layer
+    names and a function that merges one of them from the models' layers."""
+    if not deltas:
+        raise ParameterError("need at least one input delta map")
+    w = config.weight_vector(len(deltas))
+    knots = "KNOTS" in config.pipeline
+    if knots and len(deltas) < 2:
+        raise ParameterError("KnOTS needs at least two input models")
+    names = _aligned_layers(deltas)
+
+    def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
+        maps = _layer_maps(deltas, layer, config)
+        if knots:
+            return knots_merge(list(maps), config).layers[layer]
+        return TensorBlock(
+            layer, _ties_layer((m.layers[layer].values for m in maps), config.density, w)
+        )
+
+    return names, merge_layer
 
 
 def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     """Run the configured pipeline and label the result with its summary.
 
-    TIES and DARE+TIES run one layer at a time: besides the inputs and the
-    output, only the current layer's pruned and trimmed copies are held.
+    Layers are merged one at a time: besides the output, only the current
+    layer's input, pruned and trimmed copies are held (inputs read from
+    files are read then).
     """
-    if not deltas:
-        raise ParameterError("need at least one input delta map")
-    w = config.weight_vector(len(deltas))
+    names, merge_layer = _layer_merger(deltas, config)
+    return DeltaMap({layer: merge_layer(layer) for layer in names}, config.summary())
 
-    if "KNOTS" in config.pipeline:
-        inputs = list(deltas)
-        if "DARE" in config.pipeline:
-            p = config.effective_drop_rate
-            inputs = [dare_prune(d, p, config.seed) for d in inputs]
-        return DeltaMap(knots_merge(inputs, config).layers, config.summary())
+
+def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
+    """``merge``, with each merged layer left pending until it is read.
+
+    The inputs and config are checked now.  A layer is merged from the
+    models' layers each time it is read, with the bytes ``merge`` gives, so
+    writing the result (``save_delta``, or ``refactor_to_adapter`` then
+    ``save_adapter``) holds one layer per model at a time and never the
+    whole output.
+    """
+    names, merge_layer = _layer_merger(deltas, config)
     layers = {
-        layer: TensorBlock(
-            layer, _ties_layer(_pruned_layer(deltas, layer, config), config.density, w)
+        layer: PendingBlock(
+            layer, deltas[0].layers[layer].shape, functools.partial(merge_layer, layer)
         )
-        for layer in _aligned_layers(deltas)
+        for layer in names
     }
     return DeltaMap(layers, config.summary())

@@ -1,0 +1,67 @@
+import threading
+
+import pytest
+
+from loramerge import blas
+
+_calls = blas._thread_calls()
+pytestmark = pytest.mark.skipif(_calls is None, reason="the BLAS has no thread-count calls")
+
+
+@pytest.fixture
+def get():
+    """The BLAS thread-count getter, with the count set to 2 for the test
+    and put back afterwards."""
+    get, set_ = _calls
+    before = get()
+    set_(2)
+    try:
+        if get() != 2:
+            pytest.skip("the BLAS cannot run two threads here")
+        yield get
+    finally:
+        set_(before)
+
+
+def test_section_runs_on_one_thread_and_restores_the_count(get):
+    with blas.one_thread():
+        assert get() == 1
+    assert get() == 2
+
+
+def test_count_is_restored_when_the_body_raises(get):
+    with pytest.raises(RuntimeError):
+        with blas.one_thread():
+            assert get() == 1
+            raise RuntimeError("body failed")
+    assert get() == 2
+
+
+def test_nested_sections_restore_once(get):
+    with blas.one_thread():
+        with blas.one_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+
+
+def test_overlapping_sections_on_two_threads(get):
+    # the first section ends while the second is still open: the count must
+    # stay 1 until the second ends, then return to 2, not to 1
+    entered, first_left = threading.Event(), threading.Event()
+    seen = []
+
+    def second():
+        with blas.one_thread():
+            entered.set()
+            first_left.wait(timeout=30)
+            seen.append(get())
+
+    thread = threading.Thread(target=second)
+    with blas.one_thread():
+        thread.start()
+        assert entered.wait(timeout=30)
+    first_left.set()
+    thread.join(timeout=30)
+    assert seen == [1]
+    assert get() == 2

@@ -1,9 +1,12 @@
 import errno
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 try:
     import resource
@@ -23,6 +26,8 @@ from loramerge import (
     load_adapter,
     load_delta,
     merge,
+    read_header,
+    refactor_to_adapter,
     save_adapter,
     save_delta,
 )
@@ -159,6 +164,20 @@ def _write_config(path, pipeline, **extra):
     return str(path)
 
 
+def _delta_files(tmp_path, layers, shape, seed=88):
+    """Delta files en, de and fr, each with random layers ``l0, l1, ...``."""
+    rng = np.random.default_rng(seed)
+    paths = []
+    for label in ("en", "de", "fr"):
+        delta = DeltaMap.from_arrays(
+            {f"l{i}": rng.standard_normal(shape).astype(np.float32) for i in range(layers)},
+            label=label,
+        )
+        paths.append(str(tmp_path / f"{label}.tnsr"))
+        save_delta(delta, paths[-1])
+    return paths
+
+
 def _run_child(argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "loramerge", *argv], capture_output=True, text=True, **kwargs
@@ -274,22 +293,9 @@ class TestThreadCountDeterminism:
             save_adapter(adapter, paths[-1])
         return tmp_path, paths
 
-    @pytest.mark.parametrize(
-        "pipeline",
-        [
-            ["KNOTS", "TIES"],
-            pytest.param(
-                ["DARE", "KNOTS", "TIES"],
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="ROADMAP item 5: DARE densifies, so KnOTS runs its dense SVD",
-                ),
-            ),
-        ],
-        ids=["knots-ties", "dare-knots-ties"],
-    )
-    def test_byte_identical(self, adapters, pipeline):
-        tmp_path, paths = adapters
+    @staticmethod
+    def _outputs(tmp_path, paths, pipeline):
+        """The bytes of one merge at 1 and at 2 BLAS threads."""
         name = "-".join(pipeline)
         config = _write_config(tmp_path / f"{name}.json", pipeline, seed=42)
         outputs = []
@@ -309,7 +315,35 @@ class TestThreadCountDeterminism:
                 text=True,
             )
             assert result.returncode == 0, result.stderr
-            outputs.append(open(out, "rb").read())
+            with open(out, "rb") as fh:
+                outputs.append(fh.read())
+        return outputs
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [["KNOTS", "TIES"], ["DARE", "KNOTS", "TIES"]],
+        ids=["knots-ties", "dare-knots-ties"],
+    )
+    def test_byte_identical(self, adapters, pipeline):
+        tmp_path, paths = adapters
+        outputs = self._outputs(tmp_path, paths, pipeline)
+        assert outputs[0] == outputs[1]
+
+    def test_byte_identical_factored_at_summed_rank_512(self, tmp_path):
+        """8 rank-64 adapters: the factored route's QR (1024 x 512) and SVD
+        (512 x 8192) pass the threading threshold too."""
+        rng = np.random.default_rng(85)
+        paths = []
+        for m in range(8):
+            adapter = random_adapter(rng, rank=64, label=f"m{m}", dims=[(1024, 1024)] * 2)
+            paths.append(str(tmp_path / f"m{m}.tnsr"))
+            save_adapter(adapter, paths[-1])
+        outputs = self._outputs(tmp_path, paths, ["KNOTS", "TIES"])
+        assert outputs[0] == outputs[1]
+
+    def test_byte_identical_dense_route_on_delta_files(self, tmp_path):
+        paths = _delta_files(tmp_path, layers=2, shape=(768, 768), seed=86)
+        outputs = self._outputs(tmp_path, paths, ["KNOTS", "TIES"])
         assert outputs[0] == outputs[1]
 
     @pytest.mark.skipif(
@@ -337,6 +371,97 @@ class TestThreadCountDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestStreamedMergeMemory:
+    """``loramerge merge`` streams from the input files to ``--out`` one layer
+    at a time, so its peak memory does not grow with the layer count."""
+
+    SHAPE = (64, 4096)  # 1 MB, four chunks; KnOTS concatenates 64 x 12288
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("memory")
+        sets = {}
+        for layers in (2, 8):
+            (tmp_path / str(layers)).mkdir()
+            sets[layers] = _delta_files(tmp_path / str(layers), layers, self.SHAPE)
+        return tmp_path, sets
+
+    @staticmethod
+    def _peak(argv):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run(argv) == 0
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [["TIES"], ["DARE", "TIES"], ["KNOTS", "TIES"], ["DARE", "KNOTS", "TIES"]],
+        ids=["ties", "dare-ties", "knots-ties", "dare-knots-ties"],
+    )
+    def test_peak_does_not_grow_with_layer_count(self, inputs, pipeline):
+        tmp_path, sets = inputs
+        name = "-".join(pipeline)
+        config = _write_config(tmp_path / f"{name}.json", pipeline, seed=3)
+        peaks = {
+            layers: self._peak(
+                ["merge", "--config", config, "--out", str(tmp_path / f"{name}-{layers}.out")]
+                + paths
+            )
+            for layers, paths in sets.items()
+        }
+        # 8 layers against 2: six more layers per model in the files, and six
+        # more in the output, none of them held at once
+        assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
+
+
+@pytest.mark.parametrize("refactor", [[], ["--refactor-rank", "2"]], ids=["delta", "adapter"])
+def test_each_layer_is_merged_once(tmp_path, monkeypatch, refactor):
+    """Writing a pending layer (or its two factors) forms it once."""
+    paths = _delta_files(tmp_path, layers=3, shape=(8, 8))
+    config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+    calls = []
+    inner = merging._ties_layer
+    monkeypatch.setattr(merging, "_ties_layer", lambda *args: calls.append(1) or inner(*args))
+    out = str(tmp_path / "merged.tnsr")
+    assert run(["merge", "--config", config, *refactor, "--out", out, *paths]) == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("refactor", [[], ["--refactor-rank", "2"]], ids=["delta", "adapter"])
+def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refactor):
+    """Layers ``a`` < ``a.b`` are merged and written in that order, although
+    ``a.b.delta`` sorts before ``a.delta`` (and ``a.b.lora_A`` before
+    ``a.lora_A``): each tensor goes to its own offset, so the file equals
+    the one written from the whole merged map."""
+    rng = np.random.default_rng(89)
+    deltas = [
+        DeltaMap.from_arrays(
+            {name: rng.standard_normal((6, 5)).astype(np.float32) for name in ("a", "a.b")},
+            label=label,
+        )
+        for label in ("en", "de", "fr")
+    ]
+    paths = []
+    for delta in deltas:
+        paths.append(str(tmp_path / f"{delta.label}.tnsr"))
+        save_delta(delta, paths[-1])
+    config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+    out = str(tmp_path / "merged.tnsr")
+    assert run(["merge", "--config", config, *refactor, "--out", out, *paths]) == 0
+    merged = merge(deltas, MergeConfig(("DARE", "TIES"), density=0.5, seed=1))
+    expected = str(tmp_path / "expected.tnsr")
+    if refactor:
+        save_adapter(refactor_to_adapter(merged, 2), expected)
+    else:
+        save_delta(merged, expected)
+    with open(out, "rb") as got, open(expected, "rb") as want:
+        assert got.read() == want.read()
+
+
 class TestAtomicOut:
     """``--out`` is written to a temporary file and renamed over the target."""
 
@@ -350,6 +475,50 @@ class TestAtomicOut:
         assert run(["merge", "--config", config_path, "--out", paths[0], *paths]) == 0
         assert deltas_bitwise_equal(load_delta(paths[0]), expected)
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "de.tnsr", "en.tnsr", "fr.tnsr"]
+
+    def test_out_may_name_a_delta_input(self, tmp_path):
+        """A delta input is read layer by layer while the output is written;
+        the reads use the descriptor opened at load and the rename comes last."""
+        paths = _delta_files(tmp_path, layers=3, shape=(300, 500))
+        config = MergeConfig(("DARE", "TIES"), density=0.5, seed=1)
+        expected = merge([load_delta(path) for path in paths], config)
+        config_path = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+        assert run(["merge", "--config", config_path, "--out", paths[0], *paths]) == 0
+        merged = load_delta(paths[0])
+        assert merged.label == config.summary()
+        assert deltas_bitwise_equal(merged, expected)
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "de.tnsr", "en.tnsr", "fr.tnsr"]
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [["TIES"], ["DARE", "TIES"], ["KNOTS", "TIES"], ["DARE", "KNOTS", "TIES"]],
+        ids=["ties", "dare-ties", "knots-ties", "dare-knots-ties"],
+    )
+    def test_non_finite_last_layer_fails_after_earlier_layers(self, tmp_path, pipeline):
+        """A delta file's layer is checked when it is read, after the earlier
+        layers have been merged and written to the temporary file: the run
+        still prints one line and leaves no file, and an existing ``--out``
+        keeps its bytes."""
+        paths = _delta_files(tmp_path, layers=4, shape=(40, 30))
+        header = read_header(paths[-1])
+        with open(paths[-1], "r+b") as fh:
+            (header_len,) = struct.unpack("<Q", fh.read(8))
+            fh.seek(8 + header_len + header["l3.delta"]["data_offsets"][1] - 4)
+            fh.write(np.float32(np.nan).tobytes())
+        config = _write_config(tmp_path / "cfg.json", pipeline, seed=1)
+        out = str(tmp_path / "merged.tnsr")
+        line = f"error[data]: {paths[-1]}: tensor 'l3.delta' contains non-finite values\n"
+        for old in (None, b"old bytes"):
+            if old is not None:
+                with open(out, "wb") as fh:
+                    fh.write(old)
+            before = sorted(os.listdir(tmp_path))
+            result = _run_child(["merge", "--config", config, "--out", out, *paths])
+            assert (result.returncode, result.stderr) == (1, line)
+            assert sorted(os.listdir(tmp_path)) == before
+            if old is not None:
+                with open(out, "rb") as fh:
+                    assert fh.read() == old
 
     @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
     def test_write_failing_midway_leaves_no_file(self, tmp_path):

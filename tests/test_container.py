@@ -161,6 +161,26 @@ def test_write_rejects_non_finite():
         write_tensors("/tmp/never-written.tnsr", {"a": np.array([[np.inf]])}, None)
 
 
+class _Frame:
+    """An array-like with a ``shape`` and ``values``, as a data frame has."""
+
+    def __init__(self, values):
+        self.values = values
+        self.shape = values.shape
+
+    def __array__(self, dtype=None, copy=None):
+        return self.values if dtype is None else self.values.astype(dtype)
+
+
+def test_write_checks_array_likes_that_are_not_blocks(tmp_path):
+    path = str(tmp_path / "frame.tnsr")
+    with pytest.raises(DataError):
+        write_tensors(path, {"a": _Frame(np.array([[1.0, np.nan]]))}, None)
+    assert os.listdir(tmp_path) == []
+    write_tensors(path, {"a": _Frame(np.array([[1.0, 2.0]]))}, None)
+    assert read_tensors(path)[0]["a"].tolist() == [[1.0, 2.0]]
+
+
 def test_missing_file_is_storage_error(tmp_path):
     with pytest.raises(StorageError):
         read_tensors(str(tmp_path / "absent.tnsr"))
