@@ -76,9 +76,9 @@ class LowRankBlock(container.CheckedBlock):
     """A named layer ``scale * left @ right``, densified when it is read.
 
     ``left`` is d_out x r and ``right`` r x d_in, both float32.  ``values``
-    has the ``TensorBlock`` contract; it forms the product in float64, rounds
-    it once to float32 and is not cached, so only the layer a step works on
-    is ever held dense.
+    has the ``TensorBlock`` contract, which construction checks; it forms
+    the product in float64, rounds it once to float32 and is not cached, so
+    only the layer a step works on is ever held dense.
     """
 
     name: str
@@ -113,8 +113,8 @@ class LowRankBlock(container.CheckedBlock):
             * np.linalg.norm(left.astype(np.float64), axis=1).max()
             * np.linalg.norm(right.astype(np.float64), axis=0).max()
         )
-        if not bound < _F32_MAX / 2:
-            self.values  # raises DataError if the product is not finite in float32
+        if not bound < _F32_MAX / 2 and not np.isfinite(self.values).all():
+            raise DataError(f"tensor {self.name!r} contains non-finite values")
 
     @property
     def rank(self) -> int:
@@ -132,22 +132,29 @@ class LowRankBlock(container.CheckedBlock):
     def values(self) -> np.ndarray:
         product = self.left.astype(np.float64) @ self.right.astype(np.float64)
         product *= self.scale
-        # an entry past float32 range becomes inf and TensorBlock rejects it
+        # finite: construction proved it, or formed it and rejected an inf
         with np.errstate(over="ignore"):
             product = product.astype(np.float32)
-        return TensorBlock(self.name, product).values
+        product.setflags(write=False)
+        return product
 
 
-def factored_svd(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Thin SVD ``(u, s, vt)`` of ``left @ right`` without forming the product.
-
-    ``left`` is d_out x k with k <= d_out, both float64.  A QR of ``left``
-    reduces the problem to the k-row matrix ``R @ right`` (Halko, Martinsson
-    & Tropp, arXiv:0909.4061), which yields k singular triplets.
-    """
-    with one_thread():
-        q, r = np.linalg.qr(left)
-        u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
+def thin_svd(
+    layer: str, left: np.ndarray, right: np.ndarray | None = None
+) -> tuple[np.ndarray, ...]:
+    """Thin SVD ``(u, s, vt)`` of float64 ``left``, or of ``left @ right``
+    with ``left`` d_out x k, k <= d_out: a QR of ``left`` then reduces the
+    problem to the k-row ``R @ right`` (Halko, Martinsson & Tropp,
+    arXiv:0909.4061).  LAPACK runs on one thread; NumericalError names
+    ``layer`` if it does not converge."""
+    try:
+        with one_thread():
+            if right is None:
+                return np.linalg.svd(left, full_matrices=False)
+            q, r = np.linalg.qr(left)
+            u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
     return q @ u, s, vt
 
 
@@ -402,17 +409,11 @@ def _factors(
     layer: str, block: TensorBlock | LowRankBlock | FileBlock, rank: int
 ) -> tuple[TensorBlock, TensorBlock]:
     """One layer's rank-``rank`` factors ``(A, B)``."""
-    try:
-        if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
-            u, s, vt = factored_svd(
-                block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
-            )
-        else:
-            dense = block.values.astype(np.float64)
-            with one_thread():
-                u, s, vt = np.linalg.svd(dense, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
+    if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
+        left, right = block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
+        u, s, vt = thin_svd(layer, left, right)
+    else:
+        u, s, vt = thin_svd(layer, block.values.astype(np.float64))
     root = np.sqrt(s[:rank])
     b = (u[:, :rank] * root).astype(np.float32)
     a = (root[:, None] * vt[:rank]).astype(np.float32)

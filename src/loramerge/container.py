@@ -47,9 +47,9 @@ def _canonical_header_bytes(header: dict) -> bytes:
 
 
 class CheckedBlock:
-    """Base of the layer types whose ``values`` are checked where they are
-    formed: a ``shape``, and a ``values`` array of that shape that is
-    float32, C-order and finite, and may be formed only when it is read.
+    """Base of the layer types whose ``values`` are checked when the block is
+    built or the values formed: a ``shape``, and a ``values`` array of that
+    shape, float32, C-order and finite, which may be formed only when read.
     :func:`write_tensors` writes such a block without checking it again."""
 
     __slots__ = ()

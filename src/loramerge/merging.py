@@ -27,19 +27,21 @@ which is biased for every ``p != 0.5``; the expectation-preserving factor
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, factored_svd
-from .blas import one_thread
-from .errors import AlignmentError, NumericalError, ParameterError
+from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, thin_svd
+from .container import CheckedBlock
+from .errors import AlignmentError, DataError, ParameterError
 from .rng import uniform_stream
 
 _PIPELINES = {
@@ -89,11 +91,11 @@ class MergeConfig:
                 f"unsupported pipeline {list(pipeline)}; must be one of "
                 "[TIES], [KNOTS, TIES], [DARE, TIES], [DARE, KNOTS, TIES]"
             )
-        if not (isinstance(self.density, (int, float)) and 0.0 < self.density <= 1.0):
+        if not (isinstance(self.density, numbers.Real) and 0.0 < self.density <= 1.0):
             raise ParameterError(f"density must be in (0, 1], got {self.density!r}")
         object.__setattr__(self, "density", float(self.density))
         if self.drop_rate is not None:
-            if not (isinstance(self.drop_rate, (int, float)) and 0.0 <= self.drop_rate < 1.0):
+            if not (isinstance(self.drop_rate, numbers.Real) and 0.0 <= self.drop_rate < 1.0):
                 raise ParameterError(f"drop_rate must be in [0, 1), got {self.drop_rate!r}")
             object.__setattr__(self, "drop_rate", float(self.drop_rate))
         if self.weights is not None:
@@ -214,8 +216,7 @@ def _trim_values(values: np.ndarray, density: float | Fraction) -> np.ndarray:
 
 def trim(delta: DeltaMap, density: float) -> DeltaMap:
     """Keep the ceil(density * n) largest-magnitude entries per tensor."""
-    if not 0.0 < density <= 1.0:
-        raise ParameterError(f"density must be in (0, 1], got {density!r}")
+    density = MergeConfig(density=density).density
     layers = {
         layer: TensorBlock(block.name, _trim_values(block.values, density))
         for layer, block in delta.layers.items()
@@ -265,6 +266,34 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
         raise errors[0]
 
 
+def _dare_values(
+    values: np.ndarray, label: str, name: str, drop_rate: float, seed: int
+) -> np.ndarray:
+    """One tensor's DARE (see :func:`dare_prune`), drawn from the stream keyed
+    by (seed, label, name); DataError if a survivor leaves float32 range."""
+    scale = 1.0 / (1.0 - drop_rate)
+    flat = values.ravel()
+    kept = np.empty(flat.size, dtype=np.float32)
+
+    def step(start: int) -> None:
+        stop = min(start + _CHUNK, flat.size)
+        u = uniform_stream(seed, label, name, stop - start, start)
+        part = np.multiply(flat[start:stop], scale, dtype=np.float64)
+        # errstate is per thread, so it is set in the step
+        with np.errstate(over="ignore"):
+            kept[start:stop] = part
+        # a dropped entry's bits are multiplied by 0, which makes it +0.0
+        # whatever its sign, with no per-entry branch on the random mask
+        bits = kept[start:stop].view(np.uint32)
+        bits *= u >= drop_rate
+        # the input is finite, so only a survivor's overflow can show here
+        if not np.isfinite(kept[start:stop]).all():
+            raise DataError(f"tensor {name!r} contains non-finite values")
+
+    _for_chunks(step, flat.size)
+    return kept.reshape(values.shape)
+
+
 def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     """Zero entries independently with probability ``drop_rate`` and rescale
     survivors by ``1 / (1 - drop_rate)``.
@@ -272,31 +301,13 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     Drops come from a counter-based stream keyed by (seed, map label,
     tensor name), so results are reproducible and schedule-independent.
     """
-    if not 0.0 <= drop_rate < 1.0:
-        raise ParameterError(f"drop_rate must be in [0, 1), got {drop_rate!r}")
+    drop_rate = MergeConfig(drop_rate=drop_rate).drop_rate
     if drop_rate == 0.0:
         return DeltaMap(dict(delta.layers), delta.label)
-    scale = 1.0 / (1.0 - drop_rate)
-    layers: dict[str, TensorBlock] = {}
-    for layer, block in delta.layers.items():
-        values = block.values.ravel()
-        kept = np.empty(values.size, dtype=np.float32)
-
-        def step(start: int) -> None:
-            stop = min(start + _CHUNK, values.size)
-            u = uniform_stream(seed, delta.label, layer, stop - start, start)
-            part = np.multiply(values[start:stop], scale, dtype=np.float64)
-            # an entry past float32 range becomes inf here and TensorBlock
-            # rejects it; errstate is per thread, so it is set in the step
-            with np.errstate(over="ignore"):
-                kept[start:stop] = part
-            # a dropped entry's bits are multiplied by 0, which makes it +0.0
-            # whatever its sign, with no per-entry branch on the random mask
-            bits = kept[start:stop].view(np.uint32)
-            bits *= u >= drop_rate
-
-        _for_chunks(step, values.size)
-        layers[layer] = TensorBlock(block.name, kept.reshape(block.shape))
+    layers = {
+        layer: TensorBlock(b.name, _dare_values(b.values, delta.label, layer, drop_rate, seed))
+        for layer, b in delta.layers.items()
+    }
     return DeltaMap(layers, delta.label)
 
 
@@ -396,15 +407,8 @@ def _joint_label(deltas: Sequence[DeltaMap]) -> str:
 
 def ties_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     """Trim, elect sign, and disjoint-merge each layer."""
-    names = _aligned_layers(deltas)
-    w = config.weight_vector(len(deltas))
-    layers = {
-        layer: TensorBlock(
-            layer, _ties_layer((d.layers[layer].values for d in deltas), config.density, w)
-        )
-        for layer in names
-    }
-    return DeltaMap(layers, _joint_label(deltas))
+    merged = merge(deltas, dataclasses.replace(config, pipeline=("TIES",)))
+    return DeltaMap(merged.layers, _joint_label(deltas))
 
 
 @dataclass(frozen=True)
@@ -423,51 +427,53 @@ class KnotsFactors:
     v_parts: list[TensorBlock]
 
 
-def _concat_svd(blocks: Sequence[TensorBlock | LowRankBlock]) -> tuple[np.ndarray, ...]:
-    """Thin SVD of ``[d_1 | ... | d_M]``, factored when every block is low-rank
-    and their summed rank is below the dense concatenation's rank bound."""
+def _concat_svd(
+    layer: str, blocks: Sequence[np.ndarray | CheckedBlock]
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Thin SVD of ``[d_1 | ... | d_M]`` (arrays or blocks) as the float32
+    basis, float64 singular values and float32 task parts; factored when every
+    block is low-rank and their summed rank is below the dense rank bound."""
     count = len(blocks)
     d_out, d_in = blocks[0].shape
-    if not (
-        all(isinstance(b, LowRankBlock) for b in blocks)
-        and sum(b.rank for b in blocks) < min(d_out, count * d_in)
+    if all(isinstance(b, LowRankBlock) for b in blocks) and sum(b.rank for b in blocks) < min(
+        d_out, count * d_in
     ):
-        concat = np.concatenate([b.values for b in blocks], axis=1, dtype=np.float64)
-        with one_thread():
-            return np.linalg.svd(concat, full_matrices=False)
-    # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
-    left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
-    right = np.zeros((left.shape[1], count * d_in))
-    row = 0
-    for m, b in enumerate(blocks):
-        tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
-        tile[...] = b.right
-        tile *= b.scale
-        row += b.rank
-    return factored_svd(left, right)
+        # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
+        left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
+        right = np.zeros((left.shape[1], count * d_in))
+        row = 0
+        for m, b in enumerate(blocks):
+            tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
+            tile[...] = b.right
+            tile *= b.scale
+            row += b.rank
+        u, s, vt = thin_svd(layer, left, right)
+    else:
+        # the float32 layers are let go once the float64 concatenation exists
+        dense = (b if isinstance(b, np.ndarray) else b.values for b in blocks)
+        u, s, vt = thin_svd(layer, np.concatenate(tuple(dense), axis=1, dtype=np.float64))
+    vt *= s[:, None]
+    with np.errstate(over="ignore"):
+        parts = [part.astype(np.float32, order="C") for part in np.hsplit(vt, count)]
+    # |s_i vt_ij| <= s_0, so a part can leave float32 range only past that bound
+    if not s[0] < np.finfo(np.float32).max:
+        for m, part in enumerate(parts):
+            if not np.isfinite(part).all():
+                raise DataError(f"tensor '{layer}.task{m}' contains non-finite values")
+    return u.astype(np.float32, order="C"), s, parts
 
 
 def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, KnotsFactors]:
     """Concatenate the models' layers horizontally and factor with thin SVD."""
     if len(deltas) < 2:
         raise ParameterError("KnOTS needs at least two input models")
-    names = _aligned_layers(deltas)
-    count = len(deltas)
     out: dict[str, KnotsFactors] = {}
-    for layer in names:
-        try:
-            u, s, vt = _concat_svd([d.layers[layer] for d in deltas])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
-        vt *= s[:, None]
-        parts = [
-            TensorBlock(f"{layer}.task{m}", part.astype(np.float32))
-            for m, part in enumerate(np.hsplit(vt, count))
-        ]
+    for layer in _aligned_layers(deltas):
+        u, s, parts = _concat_svd(layer, [d.layers[layer] for d in deltas])
         out[layer] = KnotsFactors(
-            TensorBlock(f"{layer}.basis", u.astype(np.float32)),
+            TensorBlock(f"{layer}.basis", u),
             s,
-            parts,
+            [TensorBlock(f"{layer}.task{m}", part) for m, part in enumerate(parts)],
         )
     return out
 
@@ -482,27 +488,8 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     """
     if "KNOTS" not in config.pipeline:
         raise ParameterError("knots_merge requires a pipeline containing KNOTS")
-    factors = knots_transform(deltas)
-    count = len(deltas)
-    w = config.weight_vector(count)
-    layers: dict[str, TensorBlock | LowRankBlock] = {}
-    for layer, fac in factors.items():
-        (d_out, k), (_, d_in) = fac.u.shape, fac.v_parts[0].shape
-        keep = _trim_count(config.density, min(d_out, count * d_in) * d_in)
-        density = Fraction(min(keep, k * d_in), k * d_in)
-        merged = _ties_layer([p.values for p in fac.v_parts], density, w)
-        product = LowRankBlock(layer, fac.u.values, merged)
-        layers[layer] = product if k < min(product.shape) else TensorBlock(layer, product.values)
-    return DeltaMap(layers, _joint_label(deltas))
-
-
-def _layer_maps(deltas: Sequence[DeltaMap], layer: str, config: MergeConfig) -> Iterator[DeltaMap]:
-    """Each model's ``layer`` as a one-layer map, DARE-pruned when the
-    pipeline asks for it, formed one model at a time as the caller iterates."""
-    maps = (DeltaMap({layer: d.layers[layer]}, d.label) for d in deltas)
-    if "DARE" not in config.pipeline:
-        return maps
-    return (dare_prune(m, config.effective_drop_rate, config.seed) for m in maps)
+    merged = merge(deltas, dataclasses.replace(config, pipeline=("KNOTS", "TIES")))
+    return DeltaMap(merged.layers, _joint_label(deltas))
 
 
 def _layer_merger(
@@ -510,21 +497,32 @@ def _layer_merger(
 ) -> tuple[list[str], Callable[[str], TensorBlock | LowRankBlock]]:
     """Check the inputs against the config, then return the aligned layer
     names and a function that merges one of them from the models' layers."""
-    if not deltas:
-        raise ParameterError("need at least one input delta map")
+    names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
     knots = "KNOTS" in config.pipeline
     if knots and len(deltas) < 2:
         raise ParameterError("KnOTS needs at least two input models")
-    names = _aligned_layers(deltas)
+    drop_rate = config.effective_drop_rate if "DARE" in config.pipeline else 0.0
 
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
-        maps = _layer_maps(deltas, layer, config)
-        if knots:
-            return knots_merge(list(maps), config).layers[layer]
-        return TensorBlock(
-            layer, _ties_layer((m.layers[layer].values for m in maps), config.density, w)
-        )
+        # a model's layer is read, densified and pruned when the next step takes it
+        models = (d.layers[layer] for d in deltas)
+        if drop_rate > 0.0:
+            models = (
+                _dare_values(b.values, d.label, layer, drop_rate, config.seed)
+                for d, b in zip(deltas, models)
+            )
+        elif not knots:
+            models = (b.values for b in models)
+        if not knots:
+            return TensorBlock(layer, _ties_layer(models, config.density, w))
+        # TIES on the task parts in the shared basis, as knots_merge describes
+        u, _, parts = _concat_svd(layer, list(models))
+        (d_out, k), d_in = u.shape, parts[0].shape[1]
+        keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
+        merged = _ties_layer(parts, Fraction(min(keep, k * d_in), k * d_in), w)
+        product = LowRankBlock(layer, u, merged)
+        return product if k < min(product.shape) else TensorBlock(layer, product.values)
 
     return names, merge_layer
 

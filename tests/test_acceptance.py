@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_c7_container_round_trip_and_rejections(tmp_path):
             loaded = load_adapter(path)
             assert adapters_equal(adapter, loaded)
             save_adapter(loaded, second)
-            assert open(path, "rb").read() == open(second, "rb").read()
+            assert Path(path).read_bytes() == Path(second).read_bytes()
 
             delta = random_delta(rng, label=f"d{i}")
             path = str(tmp_path / "delta.tnsr")
@@ -237,7 +238,7 @@ def test_c7_container_round_trip_and_rejections(tmp_path):
             loaded = load_delta(path)
             assert deltas_bitwise_equal(delta, loaded)
             save_delta(loaded, second)
-            assert open(path, "rb").read() == open(second, "rb").read()
+            assert Path(path).read_bytes() == Path(second).read_bytes()
 
         codes = set()
 
@@ -351,7 +352,7 @@ def test_c9_cli_determinism_across_thread_counts(tmp_path):
                 text=True,
             )
             assert result.returncode == 0, result.stderr
-            outputs.append(open(out, "rb").read())
+            outputs.append(Path(out).read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
         # and a repeated run at one thread count is byte-identical too
@@ -375,4 +376,4 @@ def test_c9_cli_determinism_across_thread_counts(tmp_path):
             text=True,
         )
         assert result.returncode == 0, result.stderr
-        assert open(repeat, "rb").read() == outputs[1]
+        assert Path(repeat).read_bytes() == outputs[1]

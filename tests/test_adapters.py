@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,7 @@ class TestLowRankBlock:
         assert not block.left.flags.writeable and block.right.dtype == np.float32
         assert block.values.tolist() == [[1.0] * 3] * 5
         assert block.values is not block.values
+        assert not block.values.flags.writeable
 
     def test_rejects_factors_that_do_not_chain(self):
         with pytest.raises(ValidationError):
@@ -230,7 +233,7 @@ class TestAdapterIO:
             loaded = load_adapter(first)
             assert adapters_equal(adapter, loaded)
             save_adapter(loaded, second)
-            assert open(first, "rb").read() == open(second, "rb").read()
+            assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 class TestDeltaIO:
@@ -270,7 +273,7 @@ class TestDeltaIO:
             assert loaded.label == delta.label
             assert deltas_bitwise_equal(delta, loaded)
             save_delta(loaded, second)
-            assert open(first, "rb").read() == open(second, "rb").read()
+            assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 class TestLoadAsDelta:

@@ -1,6 +1,7 @@
 import errno
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_rewrite_is_byte_identical(tmp_path):
     write_tensors(first, tensors, {"label": "x"})
     loaded, metadata = read_tensors(first)
     write_tensors(second, loaded, metadata)
-    assert open(first, "rb").read() == open(second, "rb").read()
+    assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 def test_header_length_beyond_file(tmp_path):

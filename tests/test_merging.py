@@ -15,10 +15,15 @@ from loramerge import (
     DeltaMap,
     MergeConfig,
     ParameterError,
+    compute_delta,
     dare_prune,
     disjoint_merge,
     elect_sign,
+    knots_merge,
     merge,
+    refactor_to_adapter,
+    save_adapter,
+    save_delta,
     ties_merge,
     trim,
 )
@@ -26,7 +31,14 @@ from loramerge import merging
 from loramerge.adapters import LowRankBlock
 from loramerge.merging import _disjoint, _trim_count, _trim_values
 from loramerge.rng import uniform_stream
-from conftest import deltas_bitwise_equal, failing_on_call, random_delta_set, ties_reference
+from conftest import (
+    deltas_bitwise_equal,
+    failing_on_call,
+    random_adapter,
+    random_delta,
+    random_delta_set,
+    ties_reference,
+)
 
 
 def _single(values, label="x"):
@@ -130,6 +142,14 @@ class TestTrim:
     def test_density_out_of_range(self, density):
         with pytest.raises(ParameterError):
             trim(_single([[1.0]]), density)
+
+    def test_numpy_scalar_knobs_accepted(self):
+        # trim and dare_prune take their range checks from MergeConfig, which
+        # accepts any real number, numpy scalars included
+        delta = _single([[3, -1, 0.5, 2]])
+        assert deltas_bitwise_equal(trim(delta, np.float32(0.5)), trim(delta, 0.5))
+        pruned = dare_prune(delta, np.float32(0.5), seed=1)
+        assert deltas_bitwise_equal(pruned, dare_prune(delta, 0.5, seed=1))
 
     def test_count_uses_decimal_value_of_density(self):
         assert _trim_count(0.8, 5) == 4
@@ -475,6 +495,53 @@ class TestMergeDispatch:
         a = merge(deltas, config)
         b = merge(deltas, config)
         assert deltas_bitwise_equal(a, b)
+
+
+class TestOnePath:
+    """``merge``, ``lazy_merge``, ``ties_merge`` and ``knots_merge`` run one
+    per-layer pipeline, so they give the same bytes."""
+
+    PIPELINES = [("TIES",), ("KNOTS", "TIES"), ("DARE", "TIES"), ("DARE", "KNOTS", "TIES")]
+
+    @staticmethod
+    def _input_sets():
+        """Dense deltas, and adapter deltas that KnOTS factors without
+        densifying (summed rank 6, below every layer's dimensions)."""
+        rng = np.random.default_rng(48)
+        labels = ("en", "de", "fr")
+        shapes = {"layer0": (12, 10), "layer1": (9, 14)}
+        dense = [random_delta(rng, shapes, label) for label in labels]
+        dims = [(d_in, d_out) for d_out, d_in in shapes.values()]
+        low_rank = [compute_delta(random_adapter(rng, dims=dims, label=label)) for label in labels]
+        return {"dense": dense, "low-rank": low_rank}
+
+    @pytest.mark.parametrize("pipeline", PIPELINES, ids=lambda p: "-".join(p).lower())
+    def test_lazy_merge_writes_the_bytes_of_merge(self, tmp_path, pipeline):
+        config = MergeConfig(pipeline, density=0.5, seed=7)
+        for kind, deltas in self._input_sets().items():
+            written = {}
+            for name, merger in (("whole", merge), ("lazy", merging.lazy_merge)):
+                delta_path = str(tmp_path / f"{kind}-{name}.delta")
+                adapter_path = str(tmp_path / f"{kind}-{name}.adapter")
+                save_delta(merger(deltas, config), delta_path)
+                save_adapter(refactor_to_adapter(merger(deltas, config), 2), adapter_path)
+                with open(delta_path, "rb") as fh, open(adapter_path, "rb") as gh:
+                    written[name] = (fh.read(), gh.read())
+            assert written["lazy"] == written["whole"], kind
+
+    @pytest.mark.parametrize(
+        "merger, pipeline",
+        [(ties_merge, ("TIES",)), (knots_merge, ("KNOTS", "TIES"))],
+        ids=["ties_merge", "knots_merge"],
+    )
+    def test_map_merges_are_merge_with_a_fixed_pipeline(self, merger, pipeline):
+        for deltas in self._input_sets().values():
+            # DARE in the config is not run: the map-level merges fix the pipeline
+            out = merger(deltas, MergeConfig(("DARE", *pipeline), density=0.5, seed=7))
+            expected = merge(deltas, MergeConfig(pipeline, density=0.5, seed=7))
+            assert out.label == "en+de+fr"
+            assert deltas_bitwise_equal(out, expected)
+            assert all(type(out.layers[k]) is type(expected.layers[k]) for k in out.layers)
 
 
 class TestGoldenDigests:
