@@ -7,10 +7,10 @@ to the base weights, ``(alpha / rank) * B @ A``; with the common alpha ==
 rank configuration the scale factor is exactly 1.  Deltas, not raw factors,
 are what the merging engine consumes.  An adapter's delta layers stay
 factored (:class:`LowRankBlock`) and are formed one layer at a time, when a
-step needs the dense values; a delta file's layers stay in the file
-(:class:`FileBlock`) and are read one layer at a time, when a step needs
-them; a streamed merge's layers (:class:`PendingBlock`) are merged when
-they are read.
+step needs the dense values.  Every other layer whose values are formed
+late is a :class:`PendingBlock`, formed each time it is read: a delta
+file's layer is read from the file, a DARE-pruned layer is pruned and a
+streamed merge's layer is merged.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
@@ -19,6 +19,7 @@ with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -159,45 +160,26 @@ def thin_svd(
 
 
 @dataclass(frozen=True, eq=False)
-class FileBlock(container.CheckedBlock):
-    """A named layer stored as tensor ``tensor`` of a container file, read
-    each time its values are read.
-
-    ``values`` has the ``TensorBlock`` contract: one read at the tensor's
-    offset into a fresh read-only buffer, checked for non-finite values
-    there.  It is not cached, so only the layers a step works on are held in
-    memory.
-    """
-
-    name: str
-    source: container.TensorFile
-    tensor: str
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.source.shapes[self.tensor]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.source.read(self.tensor)
-
-
-@dataclass(frozen=True, eq=False)
 class PendingBlock(container.CheckedBlock):
     """A named layer of known shape that ``make()`` forms, each time it is
-    read: a layer of a streamed merge.
+    read: a delta file's layer, a DARE-pruned layer or a streamed merge's.
 
-    ``make`` returns a ``TensorBlock`` or ``LowRankBlock``; ``values`` is its
-    values, with their contract.  It is not cached.
+    ``make`` returns an array with the :class:`container.CheckedBlock`
+    contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
+    array or the block's values.  It is not cached.
     """
 
     name: str
     shape: tuple[int, ...]
-    make: Callable[[], "TensorBlock | LowRankBlock"]
+    make: Callable[[], "np.ndarray | TensorBlock | LowRankBlock"]
 
     @property
     def values(self) -> np.ndarray:
-        return self.make().values
+        return _values(self.make())
+
+
+def _values(made: "np.ndarray | TensorBlock | LowRankBlock") -> np.ndarray:
+    return made if isinstance(made, np.ndarray) else made.values
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,10 +214,10 @@ class LoraAdapter:
 
 @dataclass(frozen=True, eq=False)
 class DeltaMap:
-    """Per-layer delta tensors for one labelled model, dense, low-rank,
-    stored in a file or pending."""
+    """Per-layer delta tensors for one labelled model, dense, low-rank or
+    pending."""
 
-    layers: dict[str, TensorBlock | LowRankBlock | FileBlock | PendingBlock]
+    layers: dict[str, TensorBlock | LowRankBlock | PendingBlock]
     label: str = ""
 
     def __post_init__(self) -> None:
@@ -333,8 +315,8 @@ def load_adapter(path: str) -> LoraAdapter:
 
 
 def save_delta(delta: DeltaMap, path: str) -> None:
-    """Write a delta; a layer not held in memory (file-backed, low-rank or
-    pending) is formed when its turn to be written comes."""
+    """Write a delta; a layer not held in memory (low-rank or pending) is
+    formed when its turn to be written comes."""
     delta.validate()
     tensors = {layer + _DELTA_SUFFIX: block for layer, block in delta.layers.items()}
     container.write_tensors(path, tensors, {"label": delta.label})
@@ -343,14 +325,14 @@ def save_delta(delta: DeltaMap, path: str) -> None:
 def _delta_from_file(source: container.TensorFile) -> DeltaMap:
     if "label" not in source.metadata:
         raise FormatError(f"{source.path}: delta metadata is missing 'label'")
-    layers: dict[str, FileBlock] = {}
-    for name in source.shapes:
+    layers: dict[str, PendingBlock] = {}
+    for name, shape in source.shapes.items():
         if not name.endswith(_DELTA_SUFFIX) or len(name) == len(_DELTA_SUFFIX):
             raise FormatError(
                 f"{source.path}: tensor {name!r} does not follow the <layer>.delta convention"
             )
         layer = name[: -len(_DELTA_SUFFIX)]
-        layers[layer] = FileBlock(layer, source, name)
+        layers[layer] = PendingBlock(layer, shape, functools.partial(source.read, name))
     return DeltaMap(layers, source.metadata["label"])
 
 
@@ -383,8 +365,8 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     ``rank`` singular triplets.  The result uses alpha == rank so its
     reconstructed delta is plain ``B @ A``.  A low-rank layer whose own rank
     is below its dimensions (and at least ``rank``) is factored without
-    forming its dense values.  A pending layer gives pending factors, formed
-    when they are read.
+    forming its dense values.  A pending layer (a delta file's, or a
+    streamed merge's) gives pending factors, formed when they are read.
     """
     delta.validate()
     if not isinstance(rank, int) or rank < 1:
@@ -406,14 +388,14 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
 
 
 def _factors(
-    layer: str, block: TensorBlock | LowRankBlock | FileBlock, rank: int
+    layer: str, block: np.ndarray | TensorBlock | LowRankBlock, rank: int
 ) -> tuple[TensorBlock, TensorBlock]:
     """One layer's rank-``rank`` factors ``(A, B)``."""
     if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
         left, right = block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
         u, s, vt = thin_svd(layer, left, right)
     else:
-        u, s, vt = thin_svd(layer, block.values.astype(np.float64))
+        u, s, vt = thin_svd(layer, _values(block).astype(np.float64))
     root = np.sqrt(s[:rank])
     b = (u[:, :rank] * root).astype(np.float32)
     a = (root[:, None] * vt[:rank]).astype(np.float32)

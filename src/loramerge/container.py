@@ -16,10 +16,11 @@ supported; non-finite payload values are rejected when a tensor is read.
 
 A write goes to a temporary file beside the target and is renamed over it
 only when complete, so a failed write leaves no partial file.  The header
-follows from the tensors' shapes, so a tensor whose values are formed late
-(a block) is written at its offset as soon as it exists.  A read opens the
-file, checks the header and layout, and reads each tensor at its offset
-when it is asked for (:class:`TensorFile`).
+follows from the tensors' shapes, so each tensor is formed (a block) or
+converted (an array), checked and written at its offset in turn, and let
+go before the next one is formed.  A read opens the file, checks the
+header and layout, and reads each tensor at its offset when it is asked
+for (:class:`TensorFile`).
 """
 
 from __future__ import annotations
@@ -58,28 +59,21 @@ class CheckedBlock:
 def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None = None) -> None:
     """Write named float32 tensors (and optional string metadata) to ``path``.
 
-    Each value is a :class:`CheckedBlock`, whose values are read only when
-    its turn to be written comes, or anything else that converts to a
-    float32 array, which is converted and checked before the file is
-    created.  Tensors are taken in the mapping's order, and each is written
-    at its offset in the sorted-name layout as soon as its values exist, so
-    a block's values need not outlive their write.
+    Each value is a :class:`CheckedBlock` or anything else that converts to
+    a float32 array.  The header takes the shapes from ``np.shape``; then,
+    in the mapping's order, each value is formed (a block's ``values``) or
+    converted and checked for non-finite entries, written at its offset in
+    the sorted-name layout and let go before the next one is formed.
     """
     if not tensors:
         raise FormatError("refusing to write a container with no tensors")
     shapes: dict[str, tuple[int, ...]] = {}
-    arrays: dict[str, np.ndarray] = {}
     for name, value in tensors.items():
         if not name:
             raise FormatError("tensor names must be non-empty")
-        block = isinstance(value, CheckedBlock)
-        if not block:
-            value = arrays[name] = np.ascontiguousarray(value, dtype=_F32)
-        shape = shapes[name] = tuple(value.shape)
+        shape = shapes[name] = tuple(np.shape(value))
         if not shape or any(d < 1 for d in shape):
             raise FormatError(f"tensor {name!r} must have >=1 dimension, all sizes >=1")
-        if not block and not np.isfinite(value).all():
-            raise DataError(f"tensor {name!r} contains non-finite values")
 
     header: dict = {}
     if metadata is not None:
@@ -110,15 +104,17 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
             fh.write(struct.pack(_LEN_FMT, len(blob)))
             fh.write(blob)
             for name, value in tensors.items():
-                arr = arrays.pop(name, None)
-                if arr is None:
-                    arr = np.ascontiguousarray(value.values, dtype=_F32)
-                    if arr.shape != shapes[name]:
-                        raise FormatError(
-                            f"tensor {name!r} is {arr.shape}, its block says {shapes[name]}"
-                        )
+                block = isinstance(value, CheckedBlock)
+                arr = np.ascontiguousarray(value.values if block else value, dtype=_F32)
+                if arr.shape != shapes[name]:
+                    raise FormatError(
+                        f"tensor {name!r} is {arr.shape}, its block says {shapes[name]}"
+                    )
+                if not block and not np.isfinite(arr).all():
+                    raise DataError(f"tensor {name!r} contains non-finite values")
                 fh.seek(base + header[name]["data_offsets"][0])
                 fh.write(memoryview(arr).cast("B"))
+                del arr  # before the next tensor is formed
         os.replace(temp, path)
     except BaseException as exc:
         try:

@@ -13,9 +13,11 @@ reconstruction stays low-rank.
 
 Every pipeline runs one layer at a time: each model's layer is read, DARE-
 pruned, run through KnOTS and TIES, and the merged layer is done before the
-next layer is touched.  :func:`lazy_merge` leaves each merged layer pending
-until it is read, so writing the result streams the merge from the input
-files to the output file.
+next layer is touched.  A model's pruned layer is a pending block, formed
+from its input layer only when KnOTS or TIES takes it, so one model's
+layer is formed at a time.  :func:`lazy_merge` leaves each merged layer
+pending until it is read, so writing the result streams the merge from the
+input files to the output file.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -107,6 +109,12 @@ class MergeConfig:
                 ) from None
             if not weights or any(not (w > 0 and math.isfinite(w)) for w in weights):
                 raise ParameterError("weights must be positive finite numbers")
+            # TIES sums float32 values times the weights in float64; while
+            # this product is finite, none of those sums can overflow
+            if not math.isfinite(sum(weights) * float(np.finfo(np.float32).max)):
+                raise ParameterError(
+                    f"weights must sum to below about 5.28e269, got {sum(weights):g}"
+                )
             object.__setattr__(self, "weights", weights)
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
@@ -188,19 +196,17 @@ def _aligned_layers(deltas: Sequence[DeltaMap]) -> list[str]:
     return names
 
 
-def _trim_count(density: float | Fraction, size: int) -> int:
+def _trim_count(density: float, size: int) -> int:
     # ceil(density * size) over the decimal value of density (its shortest
     # repr), not its binary approximation: the float product can cross an
-    # integer boundary either way (0.1 * 30 vs Fraction(0.8) * 5).  A
-    # Fraction is taken as is, so a caller can ask for an exact count.
-    if not isinstance(density, Fraction):
-        density = Fraction(repr(float(density)))
-    return int(math.ceil(density * size))
+    # integer boundary either way (0.1 * 30 vs Fraction(0.8) * 5)
+    return int(math.ceil(Fraction(repr(float(density))) * size))
 
 
-def _trim_values(values: np.ndarray, density: float | Fraction) -> np.ndarray:
+def _trim_values(values: np.ndarray, keep: int) -> np.ndarray:
+    """``values`` with all but its ``keep`` largest magnitudes set to +0.0;
+    the layer itself when ``keep`` covers it."""
     flat = values.ravel()
-    keep = _trim_count(density, flat.size)
     if keep >= flat.size:
         return values
     # keep the `keep` largest magnitudes; equal magnitudes keep the lower
@@ -218,7 +224,9 @@ def trim(delta: DeltaMap, density: float) -> DeltaMap:
     """Keep the ceil(density * n) largest-magnitude entries per tensor."""
     density = MergeConfig(density=density).density
     layers = {
-        layer: TensorBlock(block.name, _trim_values(block.values, density))
+        layer: TensorBlock(
+            block.name, _trim_values(block.values, _trim_count(density, math.prod(block.shape)))
+        )
         for layer, block in delta.layers.items()
     }
     return DeltaMap(layers, delta.label)
@@ -345,17 +353,16 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     return np.divide(numer, denom, out=term).astype(np.float32)
 
 
-def _ties_layer(
-    values: Iterable[np.ndarray], density: float | Fraction, weights: np.ndarray
-) -> np.ndarray:
-    """Trim, elect sign and disjoint-merge one layer across the models.
+def _ties_layer(values: Iterable[np.ndarray], keep: int, weights: np.ndarray) -> np.ndarray:
+    """Trim each model's layer to ``keep`` entries, elect sign and
+    disjoint-merge the layer across the models.
 
     The trim needs the whole layer's threshold, so it runs serially, one
     model at a time: a model's untrimmed layer can be freed once its trimmed
     copy exists.  Election and the disjoint mean are entrywise, so they run
     chunk by chunk on every worker.
     """
-    trimmed = [_trim_values(v, density) for v in values]
+    trimmed = [_trim_values(v, keep) for v in values]
     shape = trimmed[0].shape
     trimmed = [t.ravel() for t in trimmed]
     merged = np.empty(trimmed[0].size, dtype=np.float32)
@@ -428,11 +435,11 @@ class KnotsFactors:
 
 
 def _concat_svd(
-    layer: str, blocks: Sequence[np.ndarray | CheckedBlock]
+    layer: str, blocks: Sequence[CheckedBlock]
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Thin SVD of ``[d_1 | ... | d_M]`` (arrays or blocks) as the float32
-    basis, float64 singular values and float32 task parts; factored when every
-    block is low-rank and their summed rank is below the dense rank bound."""
+    """Thin SVD of ``[d_1 | ... | d_M]`` as the float32 basis, float64
+    singular values and float32 task parts; factored when every block is
+    low-rank and their summed rank is below the dense rank bound."""
     count = len(blocks)
     d_out, d_in = blocks[0].shape
     if all(isinstance(b, LowRankBlock) for b in blocks) and sum(b.rank for b in blocks) < min(
@@ -449,9 +456,12 @@ def _concat_svd(
             row += b.rank
         u, s, vt = thin_svd(layer, left, right)
     else:
-        # the float32 layers are let go once the float64 concatenation exists
-        dense = (b if isinstance(b, np.ndarray) else b.values for b in blocks)
-        u, s, vt = thin_svd(layer, np.concatenate(tuple(dense), axis=1, dtype=np.float64))
+        # one model's float32 layer is formed at a time, copied in and let go
+        dense = np.empty((d_out, count * d_in))
+        for m, b in enumerate(blocks):
+            dense[:, m * d_in : (m + 1) * d_in] = b.values
+        u, s, vt = thin_svd(layer, dense)
+        del dense
     vt *= s[:, None]
     with np.errstate(over="ignore"):
         parts = [part.astype(np.float32, order="C") for part in np.hsplit(vt, count)]
@@ -504,25 +514,28 @@ def _layer_merger(
         raise ParameterError("KnOTS needs at least two input models")
     drop_rate = config.effective_drop_rate if "DARE" in config.pipeline else 0.0
 
+    def pruned(block: CheckedBlock, label: str, layer: str) -> PendingBlock:
+        return PendingBlock(
+            layer,
+            block.shape,
+            lambda: _dare_values(block.values, label, layer, drop_rate, config.seed),
+        )
+
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
         # a model's layer is read, densified and pruned when the next step takes it
-        models = (d.layers[layer] for d in deltas)
+        models = [d.layers[layer] for d in deltas]
         if drop_rate > 0.0:
-            models = (
-                _dare_values(b.values, d.label, layer, drop_rate, config.seed)
-                for d, b in zip(deltas, models)
-            )
-        elif not knots:
-            models = (b.values for b in models)
+            models = [pruned(b, d.label, layer) for d, b in zip(deltas, models)]
+        d_out, d_in = models[0].shape
         if not knots:
-            return TensorBlock(layer, _ties_layer(models, config.density, w))
-        # TIES on the task parts in the shared basis, as knots_merge describes
-        u, _, parts = _concat_svd(layer, list(models))
-        (d_out, k), d_in = u.shape, parts[0].shape[1]
+            keep = _trim_count(config.density, d_out * d_in)
+            return TensorBlock(layer, _ties_layer((b.values for b in models), keep, w))
+        # TIES on the task parts in the shared basis, as knots_merge describes;
+        # the trim counts against the dense parts' size
+        u, _, parts = _concat_svd(layer, models)
         keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
-        merged = _ties_layer(parts, Fraction(min(keep, k * d_in), k * d_in), w)
-        product = LowRankBlock(layer, u, merged)
-        return product if k < min(product.shape) else TensorBlock(layer, product.values)
+        product = LowRankBlock(layer, u, _ties_layer(parts, keep, w))
+        return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
     return names, merge_layer
 

@@ -276,6 +276,33 @@ class TestDareOverflow:
         assert not os.path.exists(out)
 
 
+class TestHugeWeights:
+    """Weights whose sum would let a weighted float32 sum overflow float64
+    are a parameter error, found before the merge runs: one line, no numpy
+    warning, no ``--out``."""
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [["TIES"], ["DARE", "TIES"], ["KNOTS", "TIES"]],
+        ids=["ties", "dare-ties", "knots-ties"],
+    )
+    def test_child_prints_one_line(self, tmp_path, pipeline):
+        rng = np.random.default_rng(86)
+        paths = []
+        for label in ("en", "de"):
+            values = (rng.standard_normal((8, 8)) * 1e10).astype(np.float32)
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(DeltaMap.from_arrays({"l": values}, label=label), paths[-1])
+        config = _write_config(tmp_path / "cfg.json", pipeline, weights=[1e300, 1], seed=1)
+        out = str(tmp_path / "out.tnsr")
+        result = _run_child(["merge", "--config", config, "--out", out, *paths])
+        assert result.returncode == 1
+        assert result.stderr == (
+            "error[parameter]: weights must sum to below about 5.28e269, got 1e+300\n"
+        )
+        assert not os.path.exists(out)
+
+
 class TestStepErrorInMerge:
     """A merge step failing on one chunk past the first gives the one-line
     error, joins every helper thread and leaves no ``--out`` file."""
@@ -444,6 +471,21 @@ class TestStreamedMergeMemory:
         # 8 layers against 2: six more layers per model in the files, and six
         # more in the output, none of them held at once
         assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
+
+    def test_dare_holds_no_pruned_layer_through_the_knots_svd(self, tmp_path, monkeypatch):
+        """Each model's DARE-pruned layer is formed when the KnOTS
+        concatenation takes it and let go once copied in, as a layer read
+        from a file is, so DARE adds less than half a layer to the peak."""
+        monkeypatch.setattr(merging, "_WORKERS", 1)
+        shape = (256, 384)
+        paths = _delta_files(tmp_path, 2, shape)
+        peaks = {}
+        for _ in range(2):  # the first round warms up numpy and LAPACK
+            for pipeline in (["KNOTS", "TIES"], ["DARE", "KNOTS", "TIES"]):
+                config = _write_config(tmp_path / "cfg.json", pipeline, seed=3)
+                out = str(tmp_path / "out.tnsr")
+                peaks[pipeline[0]] = self._peak(["merge", "--config", config, "--out", out, *paths])
+        assert peaks["DARE"] <= peaks["KNOTS"] + 2 * math.prod(shape), peaks
 
 
 @pytest.mark.parametrize("refactor", [[], ["--refactor-rank", "2"]], ids=["delta", "adapter"])

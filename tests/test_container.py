@@ -1,6 +1,8 @@
 import errno
+import math
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,35 @@ from loramerge import (
     read_tensors,
     write_tensors,
 )
+from loramerge.adapters import PendingBlock
 from conftest import write_raw_container
 
 
 def _payload(*arrays):
     return b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)
+
+
+def test_writer_holds_one_tensor_at_a_time(tmp_path):
+    """Each block's values are formed, written and let go before the next
+    block's are formed."""
+    shape = (512, 512)  # 1 MB of float32
+    tensors = {
+        f"t{i}": PendingBlock(f"t{i}", shape, lambda i=i: np.full(shape, i, np.float32))
+        for i in range(4)
+    }
+    path = str(tmp_path / "t.tnsr")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_tensors(path, tensors)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 4 * math.prod(shape), peak
+    loaded, _ = read_tensors(path)
+    for i in range(4):
+        assert loaded[f"t{i}"].tobytes() == np.full(shape, i, np.float32).tobytes()
 
 
 def test_round_trip_values_and_metadata(tmp_path):

@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from loramerge import (
     knots_transform,
     refactor_to_adapter,
 )
-from loramerge.merging import _disjoint, _elect, _trim_values
+from loramerge.merging import _disjoint, _elect, _trim_count, _trim_values
 from conftest import random_adapter, random_delta_set
 
 
@@ -98,7 +97,7 @@ class TestKnotsMerge:
         w = np.asarray(weights, dtype=np.float64)
         for layer in shapes:
             fac = factors[layer]
-            trimmed = [_trim_values(p.values, 0.5) for p in fac.v_parts]
+            trimmed = [_trim_values(p.values, _trim_count(0.5, p.size)) for p in fac.v_parts]
             signs = _elect(trimmed, w)
             merged = _disjoint(trimmed, signs, w)
             expected = (
@@ -122,7 +121,7 @@ class TestKnotsMerge:
         concat = np.hstack([a.astype(np.float64) for a in arrays])
         u, s, vt = np.linalg.svd(concat, full_matrices=False)
         parts = [p.astype(np.float32) for p in np.hsplit(s[:, None] * vt, 3)]
-        trimmed = [_trim_values(p, 0.5) for p in parts]
+        trimmed = [_trim_values(p, _trim_count(0.5, p.size)) for p in parts]
         signs = _elect(trimmed, np.ones(3))
         merged = _disjoint(trimmed, signs, np.ones(3))
         expected = (u.astype(np.float32).astype(np.float64) @ merged.astype(np.float64)).astype(
@@ -187,8 +186,7 @@ class TestFactoredRoute:
         keep = math.ceil(0.05 * 512 * 512)
         assert keep < 80 * 512
         factors = knots_transform(lazy)["layer0"]
-        size = factors.v_parts[0].size
-        trimmed = _trim_values(factors.v_parts[0].values, Fraction(keep, size))
+        trimmed = _trim_values(factors.v_parts[0].values, keep)
         assert np.count_nonzero(trimmed) == keep
 
     def test_refactor_reaches_the_eckart_young_optimum(self, factored_set):
@@ -220,7 +218,7 @@ class TestDenseRoute:
             u, s, vt = np.linalg.svd(concat, full_matrices=False)
             parts = [p.astype(np.float32) for p in np.hsplit(s[:, None] * vt, 3)]
             w = np.asarray(weights)
-            trimmed = [_trim_values(p, density) for p in parts]
+            trimmed = [_trim_values(p, _trim_count(density, p.size)) for p in parts]
             merged = _disjoint(trimmed, _elect(trimmed, w), w)
             expected = (
                 u.astype(np.float32).astype(np.float64) @ merged.astype(np.float64)

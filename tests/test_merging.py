@@ -93,6 +93,14 @@ class TestMergeConfig:
         with pytest.raises(ParameterError):
             MergeConfig(("TIES",), weights=(1.0, 0.0))
 
+    def test_weights_must_keep_weighted_sums_finite(self):
+        # sum(weights) * float32 max must be finite in float64
+        limit = np.finfo(np.float64).max / float(np.finfo(np.float32).max)
+        MergeConfig(("TIES",), weights=(limit / 4, limit / 4))
+        for weights in [(1e300, 1.0), (limit, limit), (1e308, 1e308)]:
+            with pytest.raises(ParameterError, match="weights must sum"):
+                MergeConfig(("TIES",), weights=weights)
+
     def test_weights_must_be_numeric(self):
         with pytest.raises(ParameterError):
             MergeConfig(("TIES",), weights=("heavy", 1.0))
@@ -205,7 +213,7 @@ class TestTrim:
                 mask = np.zeros(flat.size, dtype=bool)
                 mask[order[: _trim_count(density, flat.size)]] = True
                 expected = np.where(mask, flat, np.float32(0.0)).reshape(shape)
-                out = _trim_values(values, density)
+                out = _trim_values(values, _trim_count(density, flat.size))
                 assert out.tobytes() == expected.tobytes(), (kind, density)
                 assert out.shape == shape, (kind, density)
 
@@ -621,7 +629,7 @@ class TestChunkBoundaries:
                 ).astype(np.float32)
                 for d, v in zip(deltas, values)
             ]
-        trimmed = [_trim_values(v, config.density) for v in values]
+        trimmed = [_trim_values(v, _trim_count(config.density, v.size)) for v in values]
         total = np.zeros(trimmed[0].shape)
         for w, v in zip(weights, trimmed):
             total += v.astype(np.float64) * w
