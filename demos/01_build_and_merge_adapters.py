@@ -35,9 +35,8 @@ def synthetic_adapter(rng, label):
     return LoraAdapter(layers, rank=RANK, alpha=float(RANK), label=label)
 
 
-def main():
+def walkthrough(workdir):
     rng = np.random.default_rng(7)
-    workdir = Path(tempfile.mkdtemp(prefix="loramerge-demo-"))
     print(f"writing adapters to {workdir}\n")
 
     paths = []
@@ -67,6 +66,11 @@ def main():
     layer = "attn.q_proj"
     agreement = np.sign(merged.layers[layer].values) == np.sign(en.layers[layer].values)
     print(f"\nsign agreement with 'en' after 5x upweighting: {agreement.mean():.1%}")
+
+
+def main():
+    with tempfile.TemporaryDirectory(prefix="loramerge-demo-") as workdir:
+        walkthrough(Path(workdir))
 
 
 if __name__ == "__main__":

@@ -11,14 +11,18 @@ Costs follow total GPU-hours times an hourly rate.  Measured costs rarely
 follow a single rate across both paths (different instance mixes), so a
 scenario may carry directly measured cost figures that bypass the rate
 model; the rate model is the planning fallback and assumes one homogeneous
-GPU rate.
+GPU rate.  Both rows (initial setup and a one-language update) go through
+``_compare``, which takes a measured figure wherever one is given.
+
+Hours, rates and measured figures are finite non-negative numbers (a JSON
+``true`` is not one).  The scenario's JSON keys are its dataclass fields.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterable, Mapping
 
 from .errors import ParameterError, ReductionUndefinedError, ValidationError
@@ -31,7 +35,7 @@ def reduction_pct(baseline: float, value: float) -> float:
     if baseline == 0 and value == 0:
         return 0.0
     raise ReductionUndefinedError(
-        f"reduction from baseline 0 to {value} is undefined"
+        f"reduction from baseline {baseline} to {value} is undefined"
     )
 
 
@@ -51,19 +55,31 @@ def lpt_makespan(hours: Iterable[float], slots: int) -> float:
 
 def _require_number(value, what: str) -> float:
     try:
-        value = float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be a number, got {value!r}") from None
-    if not math.isfinite(value):
+        number = None
+    if number is None or isinstance(value, bool):  # a JSON true is not a number
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    if not math.isfinite(number):
         raise ValidationError(f"{what} must be finite, got {value!r}")
-    return value
+    return number
 
 
-def _require_hours(value, what: str) -> float:
+def _require_non_negative(value, what: str) -> float:
     value = _require_number(value, what)
     if value < 0:
         raise ValidationError(f"{what} must be >= 0, got {value!r}")
     return value
+
+
+def _check_non_negative(obj, names: Iterable[str], prefix: str = "") -> None:
+    """Replace each named field of a frozen dataclass by its checked float."""
+    for name in names:
+        object.__setattr__(obj, name, _require_non_negative(getattr(obj, name), prefix + name))
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -77,14 +93,7 @@ class LanguageUpdate:
     def __post_init__(self) -> None:
         if not isinstance(self.label, str) or not self.label:
             raise ValidationError("update label must be a non-empty string")
-        object.__setattr__(
-            self, "retrain_hours", _require_hours(self.retrain_hours, "update retrain_hours")
-        )
-        object.__setattr__(
-            self,
-            "combined_retrain_hours",
-            _require_hours(self.combined_retrain_hours, "update combined_retrain_hours"),
-        )
+        _check_non_negative(self, ("retrain_hours", "combined_retrain_hours"), "update ")
 
 
 @dataclass(frozen=True)
@@ -95,6 +104,10 @@ class MeasuredCosts:
     initial_merged_cost: float | None = None
     update_combined_cost: float | None = None
     update_merged_cost: float | None = None
+
+    def __post_init__(self) -> None:
+        given = [f.name for f in fields(self) if getattr(self, f.name) is not None]
+        _check_non_negative(self, given, "measured ")
 
 
 @dataclass(frozen=True)
@@ -110,27 +123,15 @@ class CostScenario:
 
     def __post_init__(self) -> None:
         hours = {
-            label: _require_hours(value, f"hours for {label!r}")
+            label: _require_non_negative(value, f"hours for {label!r}")
             for label, value in dict(self.per_language_hours).items()
         }
         object.__setattr__(self, "per_language_hours", hours)
-        object.__setattr__(
-            self, "combined_hours", _require_hours(self.combined_hours, "combined_hours")
-        )
-        object.__setattr__(
-            self,
-            "merge_overhead_hours",
-            _require_hours(self.merge_overhead_hours, "merge_overhead_hours"),
-        )
-        if not isinstance(self.parallel_slots, int) or self.parallel_slots < 1:
-            raise ValidationError(
-                f"parallel_slots must be a positive integer, got {self.parallel_slots!r}"
-            )
-        object.__setattr__(
-            self,
-            "rate_per_gpu_hour",
-            _require_hours(self.rate_per_gpu_hour, "rate_per_gpu_hour"),
-        )
+        _check_non_negative(self, ("combined_hours", "merge_overhead_hours"))
+        slots = self.parallel_slots
+        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
+            raise ValidationError(f"parallel_slots must be a positive integer, got {slots!r}")
+        _check_non_negative(self, ("rate_per_gpu_hour",))
         gpus = _require_number(self.combined_gpus, "combined_gpus")
         if gpus <= 0:
             raise ValidationError(f"combined_gpus must be > 0, got {self.combined_gpus!r}")
@@ -148,24 +149,27 @@ class ComparisonReport:
     scenario: CostScenario
 
     def to_json_dict(self) -> dict:
-        return {
-            "combined_time_hours": self.combined_time_hours,
-            "merged_time_hours": self.merged_time_hours,
-            "combined_cost": self.combined_cost,
-            "merged_cost": self.merged_cost,
-            "time_reduction_pct": self.time_reduction_pct,
-            "cost_reduction_pct": self.cost_reduction_pct,
-            "scenario": scenario_to_json_dict(self.scenario),
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["scenario"] = scenario_to_json_dict(self.scenario)
+        return doc
 
 
-def _build_report(
+def _compare(
     scenario: CostScenario,
     combined_time: float,
     merged_time: float,
-    combined_cost: float,
-    merged_cost: float,
+    merged_gpu_hours: float,
+    measured_combined: float | None,
+    measured_merged: float | None,
 ) -> ComparisonReport:
+    """One row: each cost is its measured figure if given, else the rate model."""
+    rate = scenario.rate_per_gpu_hour
+    combined_cost = measured_combined
+    if combined_cost is None:
+        combined_cost = combined_time * rate * scenario.combined_gpus
+    merged_cost = measured_merged
+    if merged_cost is None:
+        merged_cost = merged_gpu_hours * rate
     return ComparisonReport(
         combined_time_hours=combined_time,
         merged_time_hours=merged_time,
@@ -181,48 +185,38 @@ def initial_setup(scenario: CostScenario) -> ComparisonReport:
     """Compare first-time training: pooled dataset vs parallel per-language jobs."""
     if not scenario.per_language_hours:
         raise ParameterError("scenario has no per-language hours")
-    merged_time = (
-        lpt_makespan(scenario.per_language_hours.values(), scenario.parallel_slots)
-        + scenario.merge_overhead_hours
-    )
-    combined_time = scenario.combined_hours
-
+    hours = scenario.per_language_hours.values()
+    overhead = scenario.merge_overhead_hours
     measured = scenario.measured or MeasuredCosts()
-    if measured.initial_merged_cost is not None:
-        merged_cost = measured.initial_merged_cost
-    else:
-        gpu_hours = sum(scenario.per_language_hours.values()) + scenario.merge_overhead_hours
-        merged_cost = gpu_hours * scenario.rate_per_gpu_hour
-    if measured.initial_combined_cost is not None:
-        combined_cost = measured.initial_combined_cost
-    else:
-        combined_cost = combined_time * scenario.rate_per_gpu_hour * scenario.combined_gpus
-    return _build_report(scenario, combined_time, merged_time, combined_cost, merged_cost)
+    return _compare(
+        scenario,
+        combined_time=scenario.combined_hours,
+        merged_time=lpt_makespan(hours, scenario.parallel_slots) + overhead,
+        merged_gpu_hours=sum(hours) + overhead,
+        measured_combined=measured.initial_combined_cost,
+        measured_merged=measured.initial_merged_cost,
+    )
 
 
 def update_language(scenario: CostScenario) -> ComparisonReport:
     """Compare refreshing one language: one adapter vs full combined retrain."""
     if scenario.update is None:
         raise ParameterError("scenario has no update block")
-    upd = scenario.update
-    merged_time = upd.retrain_hours + scenario.merge_overhead_hours
-    combined_time = upd.combined_retrain_hours
-
+    merged_time = scenario.update.retrain_hours + scenario.merge_overhead_hours
     measured = scenario.measured or MeasuredCosts()
-    if measured.update_merged_cost is not None:
-        merged_cost = measured.update_merged_cost
-    else:
-        merged_cost = merged_time * scenario.rate_per_gpu_hour
-    if measured.update_combined_cost is not None:
-        combined_cost = measured.update_combined_cost
-    else:
-        combined_cost = combined_time * scenario.rate_per_gpu_hour * scenario.combined_gpus
-    return _build_report(scenario, combined_time, merged_time, combined_cost, merged_cost)
+    return _compare(
+        scenario,
+        combined_time=scenario.update.combined_retrain_hours,
+        merged_time=merged_time,
+        merged_gpu_hours=merged_time,
+        measured_combined=measured.update_combined_cost,
+        measured_merged=measured.update_merged_cost,
+    )
 
 
-def _pct_cell(pct: float) -> str:
+def _row(title: str, combined: str, merged: str, pct: float) -> tuple[str, str, str]:
     arrow = "↓" if pct >= 0 else "↑"
-    return f"({abs(pct):.1f}% {arrow})"
+    return title, combined, f"{merged} ({abs(pct):.1f}% {arrow})"
 
 
 def render_table(
@@ -230,48 +224,26 @@ def render_table(
 ) -> str:
     """Aligned text table: a Training Time block and, when any cost figure is
     nonzero, a Training Cost block, rendered at 1 decimal place."""
-    rows_time = []
-    rows_cost = []
-    if initial is not None:
-        rows_time.append(
-            (
-                "Initial Setup",
-                f"{initial.combined_time_hours:g}h",
-                f"{initial.merged_time_hours:g}h {_pct_cell(initial.time_reduction_pct)}",
-            )
-        )
-        rows_cost.append(
-            (
-                "Initial Setup",
-                f"${initial.combined_cost:g}",
-                f"${initial.merged_cost:g} {_pct_cell(initial.cost_reduction_pct)}",
-            )
-        )
-    if update is not None:
-        rows_time.append(
-            (
-                "Update/Add Language",
-                f"{update.combined_time_hours:g}h",
-                f"{update.merged_time_hours:g}h {_pct_cell(update.time_reduction_pct)}",
-            )
-        )
-        rows_cost.append(
-            (
-                "Update/Add Language",
-                f"${update.combined_cost:g}",
-                f"${update.merged_cost:g} {_pct_cell(update.cost_reduction_pct)}",
-            )
-        )
-    if not rows_time:
+    reports = [
+        (title, report)
+        for title, report in (("Initial Setup", initial), ("Update/Add Language", update))
+        if report is not None
+    ]
+    if not reports:
         raise ParameterError("nothing to render")
-
-    have_costs = any(
-        r.combined_cost != 0 or r.merged_cost != 0 for r in (initial, update) if r is not None
-    )
-
-    blocks = [_render_block("Training Time", rows_time)]
-    if have_costs:
-        blocks.append(_render_block("Training Cost", rows_cost))
+    time_rows = [
+        _row(
+            title, f"{r.combined_time_hours:g}h", f"{r.merged_time_hours:g}h", r.time_reduction_pct
+        )
+        for title, r in reports
+    ]
+    cost_rows = [
+        _row(title, f"${r.combined_cost:g}", f"${r.merged_cost:g}", r.cost_reduction_pct)
+        for title, r in reports
+    ]
+    blocks = [_render_block("Training Time", time_rows)]
+    if any(r.combined_cost != 0 or r.merged_cost != 0 for _, r in reports):
+        blocks.append(_render_block("Training Cost", cost_rows))
     return "\n".join(blocks)
 
 
@@ -287,89 +259,42 @@ def _render_block(title: str, rows: list[tuple[str, str, str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCENARIO_KEYS = {
-    "per_language_hours",
-    "combined_hours",
-    "parallel_slots",
-    "rate_per_gpu_hour",
-    "merge_overhead_hours",
-    "combined_gpus",
-    "update",
-    "measured",
-}
-_UPDATE_KEYS = {"label", "retrain_hours", "combined_retrain_hours"}
-_MEASURED_KEYS = {
-    "initial_combined_cost",
-    "initial_merged_cost",
-    "update_combined_cost",
-    "update_merged_cost",
-}
-
-
 def scenario_from_json_dict(doc: dict) -> CostScenario:
     if not isinstance(doc, dict):
         raise ParameterError("scenario must be a JSON object")
-    unknown = sorted(set(doc) - _SCENARIO_KEYS)
+    unknown = sorted(set(doc) - _field_names(CostScenario))
     if unknown:
         raise ParameterError(f"unknown scenario keys: {unknown}")
-    for key in ("per_language_hours", "combined_hours"):
-        if key not in doc:
-            raise ParameterError(f"scenario is missing {key!r}")
+    for f in fields(CostScenario):
+        if f.default is MISSING and f.name not in doc:
+            raise ParameterError(f"scenario is missing {f.name!r}")
     if not isinstance(doc["per_language_hours"], dict):
         raise ParameterError("per_language_hours must be an object of label -> hours")
 
-    update = None
-    if doc.get("update") is not None:
-        upd = doc["update"]
-        if not isinstance(upd, dict) or set(upd) != _UPDATE_KEYS:
-            raise ParameterError(f"update must carry exactly {sorted(_UPDATE_KEYS)}")
-        update = LanguageUpdate(upd["label"], upd["retrain_hours"], upd["combined_retrain_hours"])
+    update = doc.get("update")
+    if update is not None:
+        keys = _field_names(LanguageUpdate)
+        if not isinstance(update, dict) or set(update) != keys:
+            raise ParameterError(f"update must carry exactly {sorted(keys)}")
+        update = LanguageUpdate(**update)
 
-    measured = None
-    if doc.get("measured") is not None:
-        meas = doc["measured"]
-        if not isinstance(meas, dict) or not set(meas) <= _MEASURED_KEYS:
-            raise ParameterError(f"measured keys must be among {sorted(_MEASURED_KEYS)}")
-        measured = MeasuredCosts(
-            **{k: _require_number(v, f"measured {k}") for k, v in meas.items()}
-        )
+    measured = doc.get("measured")
+    if measured is not None:
+        keys = _field_names(MeasuredCosts)
+        if not isinstance(measured, dict) or not set(measured) <= keys:
+            raise ParameterError(f"measured keys must be among {sorted(keys)}")
+        measured = MeasuredCosts(**measured)
 
-    return CostScenario(
-        per_language_hours=doc["per_language_hours"],
-        combined_hours=doc["combined_hours"],
-        parallel_slots=doc.get("parallel_slots", 1),
-        rate_per_gpu_hour=doc.get("rate_per_gpu_hour", 0.0),
-        merge_overhead_hours=doc.get("merge_overhead_hours", 0.0),
-        combined_gpus=doc.get("combined_gpus", 1.0),
-        update=update,
-        measured=measured,
-    )
+    return CostScenario(**{**doc, "update": update, "measured": measured})
+
+
+def _without_none(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if v is not None}
 
 
 def scenario_to_json_dict(scenario: CostScenario) -> dict:
-    doc: dict = {
-        "per_language_hours": dict(scenario.per_language_hours),
-        "combined_hours": scenario.combined_hours,
-        "parallel_slots": scenario.parallel_slots,
-        "rate_per_gpu_hour": scenario.rate_per_gpu_hour,
-        "merge_overhead_hours": scenario.merge_overhead_hours,
-        "combined_gpus": scenario.combined_gpus,
-    }
-    if scenario.update is not None:
-        doc["update"] = {
-            "label": scenario.update.label,
-            "retrain_hours": scenario.update.retrain_hours,
-            "combined_retrain_hours": scenario.update.combined_retrain_hours,
-        }
-    if scenario.measured is not None:
-        doc["measured"] = {
-            k: v
-            for k, v in (
-                ("initial_combined_cost", scenario.measured.initial_combined_cost),
-                ("initial_merged_cost", scenario.measured.initial_merged_cost),
-                ("update_combined_cost", scenario.measured.update_combined_cost),
-                ("update_merged_cost", scenario.measured.update_merged_cost),
-            )
-            if v is not None
-        }
-    return doc
+    """The scenario's fields in order, leaving out absent optional parts."""
+    doc = asdict(scenario)
+    if doc["measured"] is not None:
+        doc["measured"] = _without_none(doc["measured"])
+    return _without_none(doc)

@@ -68,7 +68,8 @@ class RateUndefinedError(LoramergeError):
 
 
 class ReductionUndefinedError(LoramergeError):
-    """Percentage reduction from a zero baseline to a nonzero value."""
+    """Percentage reduction from a baseline that is not positive, to a
+    different value."""
 
     code = "reduction-undefined"
 

@@ -70,6 +70,15 @@ _WORKERS = min(
 )
 
 
+def _real(value) -> bool:
+    """A real number; a bool (what a JSON true parses to) is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MergeConfig:
     """Method pipeline plus the density / drop-rate / weight / seed knobs.
@@ -93,20 +102,20 @@ class MergeConfig:
                 f"unsupported pipeline {list(pipeline)}; must be one of "
                 "[TIES], [KNOTS, TIES], [DARE, TIES], [DARE, KNOTS, TIES]"
             )
-        if not (isinstance(self.density, numbers.Real) and 0.0 < self.density <= 1.0):
+        if not (_real(self.density) and 0.0 < self.density <= 1.0):
             raise ParameterError(f"density must be in (0, 1], got {self.density!r}")
         object.__setattr__(self, "density", float(self.density))
         if self.drop_rate is not None:
-            if not (isinstance(self.drop_rate, numbers.Real) and 0.0 <= self.drop_rate < 1.0):
+            if not (_real(self.drop_rate) and 0.0 <= self.drop_rate < 1.0):
                 raise ParameterError(f"drop_rate must be in [0, 1), got {self.drop_rate!r}")
             object.__setattr__(self, "drop_rate", float(self.drop_rate))
         if self.weights is not None:
             try:
                 weights = tuple(float(w) for w in self.weights)
             except (TypeError, ValueError):
-                raise ParameterError(
-                    f"weights must be numbers, got {self.weights!r}"
-                ) from None
+                weights = None
+            if weights is None or any(isinstance(w, bool) for w in self.weights):
+                raise ParameterError(f"weights must be numbers, got {self.weights!r}")
             if not weights or any(not (w > 0 and math.isfinite(w)) for w in weights):
                 raise ParameterError("weights must be positive finite numbers")
             # TIES sums float32 values times the weights in float64; while
@@ -116,7 +125,7 @@ class MergeConfig:
                     f"weights must sum to below about 5.28e269, got {sum(weights):g}"
                 )
             object.__setattr__(self, "weights", weights)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
+        if not (_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @property
@@ -142,39 +151,27 @@ class MergeConfig:
         return "-".join(self.pipeline) + "(" + ", ".join(parts) + ")"
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"pipeline": list(self.pipeline), "density": self.density}
-        if self.drop_rate is not None:
-            doc["drop_rate"] = self.drop_rate
-        if self.weights is not None:
-            doc["weights"] = list(self.weights)
-        doc["seed"] = self.seed
-        return doc
+        return {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in dataclasses.asdict(self).items()
+            if value is not None
+        }
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MergeConfig":
         if not isinstance(doc, dict):
             raise ParameterError("merge config must be a JSON object")
-        known = {"pipeline", "density", "drop_rate", "weights", "seed"}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
         if unknown:
             raise ParameterError(f"unknown merge config keys: {unknown}")
-        kwargs: dict = {}
-        if "pipeline" in doc:
-            if not isinstance(doc["pipeline"], list):
-                raise ParameterError("config 'pipeline' must be a list of method names")
-            kwargs["pipeline"] = tuple(doc["pipeline"])
-        if "density" in doc:
-            kwargs["density"] = doc["density"]
-        if "drop_rate" in doc:
-            kwargs["drop_rate"] = doc["drop_rate"]
-        if "weights" in doc:
-            if not isinstance(doc["weights"], list):
-                raise ParameterError("config 'weights' must be a list of numbers")
-            kwargs["weights"] = tuple(doc["weights"])
-        if "seed" in doc:
-            if not isinstance(doc["seed"], int):
-                raise ParameterError("config 'seed' must be an integer")
-            kwargs["seed"] = doc["seed"]
+        kwargs = dict(doc)
+        for key, kind in (("pipeline", "a list of method names"), ("weights", "a list of numbers")):
+            if key in kwargs:
+                if not isinstance(kwargs[key], list):
+                    raise ParameterError(f"config {key!r} must be {kind}")
+                kwargs[key] = tuple(kwargs[key])
+        if "seed" in kwargs and not _integer(kwargs["seed"]):
+            raise ParameterError("config 'seed' must be an integer")
         return cls(**kwargs)
 
 

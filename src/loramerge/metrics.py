@@ -200,9 +200,10 @@ def evaluate_task(task: str, records: Sequence[dict]) -> dict:
             scores["rouge2"].append(rouge_n(ref, cand, 2))
             scores["rougeL"].append(rouge_l(ref, cand))
             if "bertscore" in record:
-                if not isinstance(record["bertscore"], (int, float)):
+                score = record["bertscore"]
+                if not isinstance(score, (int, float)) or isinstance(score, bool):
                     raise FormatError(f"record {i}: bertscore must be a number")
-                bert.append(float(record["bertscore"]))
+                bert.append(float(score))
         for name, values in scores.items():
             for part in ("precision", "recall", "f1"):
                 report[f"{name}_{part}"] = sum(getattr(v, part) for v in values) / len(values)

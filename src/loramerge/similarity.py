@@ -58,24 +58,28 @@ def similarity_matrix(deltas: Sequence[DeltaMap], per_layer: bool = False) -> Si
     """Pairwise cosine similarity between the models' delta vectors.
 
     With ``per_layer=True`` each pair's score is the unweighted mean of
-    per-layer cosines instead of the cosine of the fully flattened vectors.
+    per-layer cosines instead of the cosine of the fully flattened vectors,
+    and only one layer of each model is held at a time.
     """
     if len(deltas) < 2:
         raise ParameterError("need at least two delta maps")
     names = _aligned_layers(deltas)
-    # each layer densified once: a low-rank layer forms its values on every read
-    layered = [[d.layers[k].values for k in names] for d in deltas] if per_layer else None
-    vectors = None if per_layer else [flatten(d) for d in deltas]
-
-    def pair_score(i: int, j: int) -> float:
-        if layered is not None:
-            return float(np.mean([cosine(x, y) for x, y in zip(layered[i], layered[j])]))
-        return cosine(vectors[i], vectors[j])
     n = len(deltas)
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    if per_layer:
+        # one layer of every model at a time, each densified once (a low-rank
+        # layer forms its values on every read)
+        cosines: dict = {pair: [] for pair in pairs}
+        for name in names:
+            layer = [d.layers[name].values for d in deltas]
+            for i, j in pairs:
+                cosines[i, j].append(cosine(layer[i], layer[j]))
+        scores = [float(np.mean(cosines[pair])) for pair in pairs]
+    else:
+        vectors = [flatten(d) for d in deltas]
+        scores = [cosine(vectors[i], vectors[j]) for i, j in pairs]
     values = np.empty((n, n), dtype=np.float64)
-    for i in range(n):
-        values[i, i] = pair_score(i, i)
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = pair_score(i, j)
+    for (i, j), score in zip(pairs, scores):
+        values[i, j] = values[j, i] = score
     values.setflags(write=False)
     return SimilarityMatrix(tuple(d.label for d in deltas), values)

@@ -424,7 +424,8 @@ class TestThreadCountDeterminism:
 
 class TestStreamedMergeMemory:
     """``loramerge merge`` streams from the input files to ``--out`` one layer
-    at a time, so its peak memory does not grow with the layer count."""
+    at a time, so its peak memory does not grow with the layer count; nor
+    does that of ``similarity --per-layer``, which holds one layer per model."""
 
     SHAPE = (64, 4096)  # 1 MB, four chunks; KnOTS concatenates 64 x 12288
 
@@ -470,6 +471,18 @@ class TestStreamedMergeMemory:
         }
         # 8 layers against 2: six more layers per model in the files, and six
         # more in the output, none of them held at once
+        assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
+
+    def test_per_layer_similarity_peak_does_not_grow_with_layer_count(self, inputs):
+        tmp_path, sets = inputs
+        peaks = {
+            layers: self._peak(
+                ["similarity", "--csv", str(tmp_path / f"sim-{layers}.csv"), "--per-layer"]
+                + paths
+            )
+            for layers, paths in sets.items()
+        }
+        # holding every layer of the three models would add 18 layers
         assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
 
     def test_dare_holds_no_pruned_layer_through_the_knots_svd(self, tmp_path, monkeypatch):
@@ -664,6 +677,70 @@ class TestSimilarityCommand:
         assert "error[parameter]:" in capsys.readouterr().err
 
 
+class TestJsonBooleansAreNotNumbers:
+    """A JSON ``true`` parses to a Python bool, which is an int; every number
+    read from outside input rejects it, with one error line and exit 1."""
+
+    @pytest.mark.parametrize(
+        "config, err",
+        [
+            (
+                {"pipeline": ["DARE", "TIES"], "density": True, "seed": True},
+                "error[parameter]: config 'seed' must be an integer\n",
+            ),
+            ({"density": True}, "error[parameter]: density must be in (0, 1], got True\n"),
+            (
+                {"pipeline": ["DARE", "TIES"], "drop_rate": True},
+                "error[parameter]: drop_rate must be in [0, 1), got True\n",
+            ),
+            (
+                {"weights": [True, 1.0, 1.0]},
+                "error[parameter]: weights must be numbers, got (True, 1.0, 1.0)\n",
+            ),
+        ],
+        ids=["density-and-seed", "density", "drop-rate", "weights"],
+    )
+    def test_merge_config(self, tmp_path, capsys, config, err):
+        paths = _delta_files(tmp_path, layers=1, shape=(8, 8))
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "merged.tnsr"
+        assert run(["merge", "--config", str(config_path), "--out", str(out), *paths]) == 1
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, err",
+        [
+            ({"parallel_slots": True}, "parallel_slots must be a positive integer, got True"),
+            ({"combined_hours": True}, "combined_hours must be a number, got True"),
+            ({"per_language_hours": {"en": True}}, "hours for 'en' must be a number, got True"),
+            (
+                {"measured": {"initial_merged_cost": True}},
+                "measured initial_merged_cost must be a number, got True",
+            ),
+        ],
+        ids=["slots", "combined-hours", "language-hours", "measured"],
+    )
+    def test_cost_scenario(self, tmp_path, capsys, extra, err):
+        path = tmp_path / "scenario.json"
+        scenario = {"per_language_hours": {"en": 1.0}, "combined_hours": 2.0, **extra}
+        path.write_text(json.dumps(scenario))
+        assert run(["cost", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[validation]: {err}\n"
+        assert captured.out == ""
+
+    def test_metrics_bertscore(self, tmp_path, capsys):
+        path = tmp_path / "records.jsonl"
+        record = {"reference": "the cat sat", "candidate": "the cat", "bertscore": True}
+        path.write_text(json.dumps(record) + "\n")
+        assert run(["metrics", "--task", "summarization", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error[format]: record 0: bertscore must be a number\n"
+        assert captured.out == ""
+
+
 class TestCostCommand:
     def _scenario_path(self, tmp_path):
         scenario = {
@@ -701,6 +778,16 @@ class TestCostCommand:
         doc = json.loads(Path(report_path).read_text())
         assert f"{doc['initial']['time_reduction_pct']:.1f}" == "35.3"
         assert f"{doc['update']['cost_reduction_pct']:.1f}" == "73.7"
+
+    def test_negative_measured_cost_is_named(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        measured = {"initial_combined_cost": -5.0, "initial_merged_cost": 3.0}
+        scenario = {"per_language_hours": {"en": 1.0}, "combined_hours": 2.0, "measured": measured}
+        path.write_text(json.dumps(scenario))
+        assert run(["cost", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error[validation]: measured initial_combined_cost must be >= 0, got -5.0\n"
+        )
 
     def test_invalid_scenario_json_is_exit_1(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")

@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from loramerge import (
     CostScenario,
     LanguageUpdate,
+    MeasuredCosts,
     ParameterError,
     ReductionUndefinedError,
     ValidationError,
@@ -14,7 +18,11 @@ from loramerge import (
     scenario_from_json_dict,
     update_language,
 )
+from loramerge.cli import run
 from loramerge.costing import scenario_to_json_dict
+
+GOLDEN = Path(__file__).parent / "golden" / "cost"
+DEMO_DATA = Path(__file__).parent.parent / "demos" / "data"
 
 SMALL_ROLLOUT = {
     "per_language_hours": {"en": 2.2, "de": 2.2, "fr": 2.2, "ja": 2.2, "zh": 2.2},
@@ -55,6 +63,10 @@ class TestReduction:
     def test_zero_baseline_nonzero_value_undefined(self):
         with pytest.raises(ReductionUndefinedError):
             reduction_pct(0.0, 1.0)
+
+    def test_undefined_message_names_the_baseline(self):
+        with pytest.raises(ReductionUndefinedError, match=r"^reduction from baseline -5\.0 to 3\.0"):
+            reduction_pct(-5.0, 3.0)
 
     def test_rounding_matches_formula_at_one_decimal(self):
         rng = np.random.default_rng(70)
@@ -124,6 +136,11 @@ class TestScenario:
         }
         with pytest.raises(ValidationError):
             scenario_from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", [-5.0, float("inf"), float("nan"), "cheap", True])
+    def test_measured_figure_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValidationError, match="^measured update_merged_cost must be"):
+            MeasuredCosts(update_merged_cost=value)
 
     def test_bad_slots_rejected(self):
         with pytest.raises(ValidationError):
@@ -239,3 +256,62 @@ class TestRenderTable:
         assert doc["scenario"]["combined_hours"] == 3.4
         assert doc["combined_time_hours"] == 3.4
         assert doc["merged_time_hours"] == 2.2
+
+
+# rate model only: no measured block, with an update, merge overhead and a
+# multi-GPU combined run
+RATE_MODEL = {
+    "per_language_hours": {"en": 2.0, "de": 1.6, "fr": 1.8},
+    "combined_hours": 4.3,
+    "parallel_slots": 2,
+    "rate_per_gpu_hour": 2.75,
+    "merge_overhead_hours": 0.2,
+    "combined_gpus": 2,
+    "update": {"label": "de", "retrain_hours": 1.1, "combined_retrain_hours": 4.6},
+}
+
+
+class TestGoldenBytes:
+    """Exact stdout and ``--json`` bytes of ``loramerge cost``.
+
+    The files under ``tests/golden/cost`` are ``<scenario>-<mode>.txt`` (stdout)
+    and ``.json`` (the ``--json`` file), ``all`` standing for no ``--mode``.
+    They change only with a deliberate change to the report.
+    """
+
+    @pytest.mark.parametrize("mode", [None, "initial", "update"])
+    @pytest.mark.parametrize("name", ["small_rollout", "case_study", "rate_model"])
+    def test_cost_output_bytes(self, tmp_path, capsys, name, mode):
+        scenario = DEMO_DATA / f"{name}.json"
+        if name == "rate_model":
+            scenario = tmp_path / "rate_model.json"
+            scenario.write_text(json.dumps(RATE_MODEL))
+        out = tmp_path / "report.json"
+        argv = ["cost", "--scenario", str(scenario), "--json", str(out)]
+        assert run(argv + (["--mode", mode] if mode else [])) == 0
+        captured = capsys.readouterr()
+        stem = f"{name}-{mode or 'all'}"
+        assert captured.err == ""
+        assert captured.out.encode("utf-8") == (GOLDEN / f"{stem}.txt").read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{stem}.json").read_bytes()
+
+    def test_partial_measured_block_drops_missing_figures(self):
+        doc = {
+            "per_language_hours": {"en": 1.5, "de": 2},
+            "combined_hours": 3,
+            "update": {"label": "de", "retrain_hours": 1, "combined_retrain_hours": 3.5},
+            "measured": {"update_merged_cost": 4, "initial_combined_cost": 9.5},
+        }
+        # compared as JSON text, so key order and int-vs-float count too
+        expected = {
+            "per_language_hours": {"en": 1.5, "de": 2.0},
+            "combined_hours": 3.0,
+            "parallel_slots": 1,
+            "rate_per_gpu_hour": 0.0,
+            "merge_overhead_hours": 0.0,
+            "combined_gpus": 1.0,
+            "update": {"label": "de", "retrain_hours": 1.0, "combined_retrain_hours": 3.5},
+            "measured": {"initial_combined_cost": 9.5, "update_merged_cost": 4.0},
+        }
+        got = scenario_to_json_dict(scenario_from_json_dict(doc))
+        assert json.dumps(got) == json.dumps(expected)
