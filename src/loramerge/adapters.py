@@ -34,6 +34,8 @@ from .errors import (
     PairingError,
     ParameterError,
     ValidationError,
+    is_integer,
+    is_real,
 )
 
 _A_SUFFIX = ".lora_A"
@@ -198,9 +200,9 @@ class LoraAdapter:
     def validate(self) -> None:
         if not self.layers:
             raise ValidationError("adapter has no layers")
-        if not isinstance(self.rank, int) or self.rank < 1:
+        if not is_integer(self.rank) or self.rank < 1:
             raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
-        if not (float(self.alpha) > 0 and np.isfinite(self.alpha)):
+        if not (is_real(self.alpha) and self.alpha > 0 and np.isfinite(self.alpha)):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         for layer, (a, b) in self.layers.items():
             if len(a.shape) != 2 or len(b.shape) != 2:
@@ -369,7 +371,7 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     streamed merge's) gives pending factors, formed when they are read.
     """
     delta.validate()
-    if not isinstance(rank, int) or rank < 1:
+    if not is_integer(rank) or rank < 1:
         raise ParameterError(f"refactor rank must be a positive integer, got {rank!r}")
     for layer, block in delta.layers.items():
         if rank > min(block.shape):

@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, FormatError, OverlapError, StorageError
+from .errors import DataError, FormatError, OverlapError, StorageError, is_integer
 
 _LEN_FMT = "<Q"
 _LEN_BYTES = 8
@@ -209,14 +209,14 @@ def _layout(
         if (
             not isinstance(shape, list)
             or not shape
-            or not all(isinstance(d, int) and d >= 1 for d in shape)
+            or not all(is_integer(d) and d >= 1 for d in shape)
         ):
             raise FormatError(f"{path}: tensor {name!r} has invalid shape {shape!r}")
         offsets = entry.get("data_offsets")
         if (
             not isinstance(offsets, list)
             or len(offsets) != 2
-            or not all(isinstance(o, int) and o >= 0 for o in offsets)
+            or not all(is_integer(o) and o >= 0 for o in offsets)
         ):
             raise FormatError(f"{path}: tensor {name!r} has invalid data_offsets {offsets!r}")
         begin, end = offsets

@@ -25,7 +25,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterable, Mapping
 
-from .errors import ParameterError, ReductionUndefinedError, ValidationError
+from .errors import ParameterError, ReductionUndefinedError, ValidationError, is_integer, is_real
 
 
 def reduction_pct(baseline: float, value: float) -> float:
@@ -54,12 +54,9 @@ def lpt_makespan(hours: Iterable[float], slots: int) -> float:
 
 
 def _require_number(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or isinstance(value, bool):  # a JSON true is not a number
+    if not is_real(value):
         raise ValidationError(f"{what} must be a number, got {value!r}")
+    number = float(value)
     if not math.isfinite(number):
         raise ValidationError(f"{what} must be finite, got {value!r}")
     return number
@@ -129,7 +126,7 @@ class CostScenario:
         object.__setattr__(self, "per_language_hours", hours)
         _check_non_negative(self, ("combined_hours", "merge_overhead_hours"))
         slots = self.parallel_slots
-        if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
+        if not is_integer(slots) or slots < 1:
             raise ValidationError(f"parallel_slots must be a positive integer, got {slots!r}")
         _check_non_negative(self, ("rate_per_gpu_hour",))
         gpus = _require_number(self.combined_gpus, "combined_gpus")

@@ -3,7 +3,19 @@
 Every error carries a short machine-readable ``code`` (stable, used as the
 one-line prefix on the CLI error stream) and the process exit code the CLI
 maps it to: 1 for validation problems, 2 for I/O, 3 for numerical failures.
+It also holds the one rule for what counts as a number in outside input:
+a string is not one, nor a bool (what a JSON true parses to).
 """
+
+import numbers
+
+
+def is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class LoramergeError(Exception):

@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -43,7 +42,7 @@ import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, thin_svd
 from .container import CheckedBlock
-from .errors import AlignmentError, DataError, ParameterError
+from .errors import AlignmentError, DataError, ParameterError, is_integer, is_real
 from .rng import uniform_stream
 
 _PIPELINES = {
@@ -70,15 +69,6 @@ _WORKERS = min(
 )
 
 
-def _real(value) -> bool:
-    """A real number; a bool (what a JSON true parses to) is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class MergeConfig:
     """Method pipeline plus the density / drop-rate / weight / seed knobs.
@@ -102,20 +92,21 @@ class MergeConfig:
                 f"unsupported pipeline {list(pipeline)}; must be one of "
                 "[TIES], [KNOTS, TIES], [DARE, TIES], [DARE, KNOTS, TIES]"
             )
-        if not (_real(self.density) and 0.0 < self.density <= 1.0):
+        if not (is_real(self.density) and 0.0 < self.density <= 1.0):
             raise ParameterError(f"density must be in (0, 1], got {self.density!r}")
         object.__setattr__(self, "density", float(self.density))
         if self.drop_rate is not None:
-            if not (_real(self.drop_rate) and 0.0 <= self.drop_rate < 1.0):
+            if not (is_real(self.drop_rate) and 0.0 <= self.drop_rate < 1.0):
                 raise ParameterError(f"drop_rate must be in [0, 1), got {self.drop_rate!r}")
             object.__setattr__(self, "drop_rate", float(self.drop_rate))
         if self.weights is not None:
             try:
-                weights = tuple(float(w) for w in self.weights)
-            except (TypeError, ValueError):
+                weights = tuple(self.weights)
+            except TypeError:
                 weights = None
-            if weights is None or any(isinstance(w, bool) for w in self.weights):
+            if weights is None or not all(map(is_real, weights)):
                 raise ParameterError(f"weights must be numbers, got {self.weights!r}")
+            weights = tuple(float(w) for w in weights)
             if not weights or any(not (w > 0 and math.isfinite(w)) for w in weights):
                 raise ParameterError("weights must be positive finite numbers")
             # TIES sums float32 values times the weights in float64; while
@@ -125,7 +116,7 @@ class MergeConfig:
                     f"weights must sum to below about 5.28e269, got {sum(weights):g}"
                 )
             object.__setattr__(self, "weights", weights)
-        if not (_integer(self.seed) and 0 <= self.seed < 2**64):
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @property
@@ -170,7 +161,7 @@ class MergeConfig:
                 if not isinstance(kwargs[key], list):
                     raise ParameterError(f"config {key!r} must be {kind}")
                 kwargs[key] = tuple(kwargs[key])
-        if "seed" in kwargs and not _integer(kwargs["seed"]):
+        if "seed" in kwargs and not is_integer(kwargs["seed"]):
             raise ParameterError("config 'seed' must be an integer")
         return cls(**kwargs)
 
@@ -499,11 +490,26 @@ def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     return DeltaMap(merged.layers, _joint_label(deltas))
 
 
-def _layer_merger(
-    deltas: Sequence[DeltaMap], config: MergeConfig
-) -> tuple[list[str], Callable[[str], TensorBlock | LowRankBlock]]:
-    """Check the inputs against the config, then return the aligned layer
-    names and a function that merges one of them from the models' layers."""
+def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
+    """Run the configured pipeline and label the result with its summary.
+
+    This is :func:`lazy_merge` with each layer formed once, in name order:
+    besides the output, only the current layer's input, pruned and trimmed
+    copies are held (inputs read from files are read then).
+    """
+    merged = lazy_merge(deltas, config)
+    return DeltaMap({layer: block.make() for layer, block in merged.layers.items()}, merged.label)
+
+
+def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
+    """``merge``, with each merged layer left pending until it is read.
+
+    The inputs and config are checked now.  A layer is merged from the
+    models' layers each time it is read, with the bytes ``merge`` gives, so
+    writing the result (``save_delta``, or ``refactor_to_adapter`` then
+    ``save_adapter``) holds one layer per model at a time and never the
+    whole output.
+    """
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
     knots = "KNOTS" in config.pipeline
@@ -534,30 +540,6 @@ def _layer_merger(
         product = LowRankBlock(layer, u, _ties_layer(parts, keep, w))
         return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
-    return names, merge_layer
-
-
-def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
-    """Run the configured pipeline and label the result with its summary.
-
-    Layers are merged one at a time: besides the output, only the current
-    layer's input, pruned and trimmed copies are held (inputs read from
-    files are read then).
-    """
-    names, merge_layer = _layer_merger(deltas, config)
-    return DeltaMap({layer: merge_layer(layer) for layer in names}, config.summary())
-
-
-def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
-    """``merge``, with each merged layer left pending until it is read.
-
-    The inputs and config are checked now.  A layer is merged from the
-    models' layers each time it is read, with the bytes ``merge`` gives, so
-    writing the result (``save_delta``, or ``refactor_to_adapter`` then
-    ``save_adapter``) holds one layer per model at a time and never the
-    whole output.
-    """
-    names, merge_layer = _layer_merger(deltas, config)
     layers = {
         layer: PendingBlock(
             layer, deltas[0].layers[layer].shape, functools.partial(merge_layer, layer)

@@ -18,6 +18,7 @@ from .errors import (
     ParameterError,
     RateUndefinedError,
     ValidationError,
+    is_real,
 )
 
 
@@ -201,7 +202,7 @@ def evaluate_task(task: str, records: Sequence[dict]) -> dict:
             scores["rougeL"].append(rouge_l(ref, cand))
             if "bertscore" in record:
                 score = record["bertscore"]
-                if not isinstance(score, (int, float)) or isinstance(score, bool):
+                if not is_real(score):
                     raise FormatError(f"record {i}: bertscore must be a number")
                 bert.append(float(score))
         for name, values in scores.items():

@@ -13,14 +13,14 @@ import struct
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, is_integer
 
 _SEED_MAX = 2**64
 
 
 def stream_key(seed: int, label: str, name: str) -> int:
     """Derive a 128-bit Philox key from the (seed, label, name) triple."""
-    if not isinstance(seed, int) or not 0 <= seed < _SEED_MAX:
+    if not is_integer(seed) or not 0 <= seed < _SEED_MAX:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
     digest = hashlib.blake2b(digest_size=16)
     digest.update(struct.pack("<Q", seed))
@@ -42,7 +42,7 @@ def uniform_stream(
     one, so a ``start`` that is a multiple of 4 is counter ``start // 4``:
     the draw equals ``[start:start + count]`` of the stream drawn from 0.
     """
-    if not isinstance(start, int) or start < 0 or start % 4:
+    if not is_integer(start) or start < 0 or start % 4:
         raise ParameterError(f"stream start must be a non-negative multiple of 4, got {start!r}")
     bitgen = np.random.Philox(key=stream_key(seed, label, name), counter=start // 4)
     return np.random.Generator(bitgen).random(count)

@@ -1,14 +1,16 @@
 """Cosine similarity analysis between per-model delta maps.
 
-Each model's deltas flatten to one long vector (layers in lexicographic
-name order, row-major within a layer) and pairwise cosines populate a
+Each model's deltas form one long vector (layers in lexicographic name
+order, row-major within a layer) and pairwise cosines populate a
 symmetric matrix with unit diagonal.  Low off-diagonal values indicate the
 models occupy nearly orthogonal directions, i.e. little interference when
-merged.
+merged.  The vectors are never concatenated: one pass over the layers
+takes each pair's float64 dot product per layer, one layer per model held.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,11 +33,14 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     b = np.asarray(v, dtype=np.float64).ravel()
     if a.size != b.size:
         raise AlignmentError(f"vector lengths differ: {a.size} vs {b.size}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
+    return _score(np.dot(a, b), np.dot(a, a), np.dot(b, b))
+
+
+def _score(dot: float, norm2_a: float, norm2_b: float) -> float:
+    """The cosine of two vectors from their dot product and squared norms."""
+    if norm2_a == 0.0 or norm2_b == 0.0:
         raise SimilarityUndefinedError("cosine against an all-zero vector is undefined")
-    return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
+    return float(np.clip(dot / (math.sqrt(norm2_a) * math.sqrt(norm2_b)), -1.0, 1.0))
 
 
 @dataclass(frozen=True)
@@ -58,28 +63,27 @@ def similarity_matrix(deltas: Sequence[DeltaMap], per_layer: bool = False) -> Si
     """Pairwise cosine similarity between the models' delta vectors.
 
     With ``per_layer=True`` each pair's score is the unweighted mean of
-    per-layer cosines instead of the cosine of the fully flattened vectors,
-    and only one layer of each model is held at a time.
+    per-layer cosines instead of the cosine of the whole vectors.  Either
+    way one layer of each model is held at a time, read (or densified) once.
     """
     if len(deltas) < 2:
         raise ParameterError("need at least two delta maps")
-    names = _aligned_layers(deltas)
     n = len(deltas)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    if per_layer:
-        # one layer of every model at a time, each densified once (a low-rank
-        # layer forms its values on every read)
-        cosines: dict = {pair: [] for pair in pairs}
-        for name in names:
-            layer = [d.layers[name].values for d in deltas]
-            for i, j in pairs:
-                cosines[i, j].append(cosine(layer[i], layer[j]))
-        scores = [float(np.mean(cosines[pair])) for pair in pairs]
-    else:
-        vectors = [flatten(d) for d in deltas]
-        scores = [cosine(vectors[i], vectors[j]) for i, j in pairs]
+    dots = []  # per layer: the float64 dot product of each pair of models
+    for name in _aligned_layers(deltas):
+        layer = [d.layers[name].values.ravel() for d in deltas]
+        dot = np.empty((n, n))
+        for i, j in pairs:  # one pair widened at a time
+            dot[i, j] = dot[j, i] = np.dot(layer[i].astype(np.float64), layer[j].astype(np.float64))
+        dots.append(dot)
+    total = sum(dots)
     values = np.empty((n, n), dtype=np.float64)
-    for (i, j), score in zip(pairs, scores):
+    for i, j in pairs:
+        if per_layer:
+            score = np.mean([_score(dot[i, j], dot[i, i], dot[j, j]) for dot in dots])
+        else:
+            score = _score(total[i, j], total[i, i], total[j, j])
         values[i, j] = values[j, i] = score
     values.setflags(write=False)
     return SimilarityMatrix(tuple(d.label for d in deltas), values)

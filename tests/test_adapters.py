@@ -104,6 +104,15 @@ class TestAdapterValidation:
         with pytest.raises(ValidationError):
             _adapter_1layer(np.zeros((2, 3)), np.zeros((4, 2)), rank=2, alpha=0.0)
 
+    @pytest.mark.parametrize(
+        "rank, alpha",
+        [(True, 1.0), (1, True), (1, "2")],
+        ids=["bool-rank", "bool-alpha", "string-alpha"],
+    )
+    def test_non_number_rank_or_alpha_rejected(self, rank, alpha):
+        with pytest.raises(ValidationError, match="must be (a )?positive"):
+            _adapter_1layer(np.zeros((1, 3)), np.zeros((4, 1)), rank=rank, alpha=alpha)
+
 
 class TestComputeDelta:
     def test_hand_matrix_product(self):
@@ -334,3 +343,8 @@ class TestRefactor:
         delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")
         with pytest.raises(ParameterError):
             refactor_to_adapter(delta, 3)
+
+    def test_boolean_rank_rejected(self):
+        delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")
+        with pytest.raises(ParameterError, match="refactor rank must be a positive integer"):
+            refactor_to_adapter(delta, True)

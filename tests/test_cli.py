@@ -34,7 +34,12 @@ from loramerge import (
 )
 from loramerge import merging
 from loramerge.cli import run
-from conftest import deltas_bitwise_equal, failing_on_call, random_adapter
+from conftest import (
+    deltas_bitwise_equal,
+    failing_on_call,
+    random_adapter,
+    write_raw_container,
+)
 
 
 @pytest.fixture
@@ -425,7 +430,8 @@ class TestThreadCountDeterminism:
 class TestStreamedMergeMemory:
     """``loramerge merge`` streams from the input files to ``--out`` one layer
     at a time, so its peak memory does not grow with the layer count; nor
-    does that of ``similarity --per-layer``, which holds one layer per model."""
+    does that of ``similarity``, with or without ``--per-layer``, which holds
+    one layer per model."""
 
     SHAPE = (64, 4096)  # 1 MB, four chunks; KnOTS concatenates 64 x 12288
 
@@ -473,12 +479,12 @@ class TestStreamedMergeMemory:
         # more in the output, none of them held at once
         assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
 
-    def test_per_layer_similarity_peak_does_not_grow_with_layer_count(self, inputs):
+    @pytest.mark.parametrize("flag", [[], ["--per-layer"]], ids=["flat", "per-layer"])
+    def test_per_layer_similarity_peak_does_not_grow_with_layer_count(self, inputs, flag):
         tmp_path, sets = inputs
         peaks = {
             layers: self._peak(
-                ["similarity", "--csv", str(tmp_path / f"sim-{layers}.csv"), "--per-layer"]
-                + paths
+                ["similarity", "--csv", str(tmp_path / f"sim-{layers}.csv"), *flag] + paths
             )
             for layers, paths in sets.items()
         }
@@ -697,8 +703,12 @@ class TestJsonBooleansAreNotNumbers:
                 {"weights": [True, 1.0, 1.0]},
                 "error[parameter]: weights must be numbers, got (True, 1.0, 1.0)\n",
             ),
+            (
+                {"weights": ["1", "2", "1"]},
+                "error[parameter]: weights must be numbers, got ('1', '2', '1')\n",
+            ),
         ],
-        ids=["density-and-seed", "density", "drop-rate", "weights"],
+        ids=["density-and-seed", "density", "drop-rate", "weights", "string-weights"],
     )
     def test_merge_config(self, tmp_path, capsys, config, err):
         paths = _delta_files(tmp_path, layers=1, shape=(8, 8))
@@ -719,8 +729,17 @@ class TestJsonBooleansAreNotNumbers:
                 {"measured": {"initial_merged_cost": True}},
                 "measured initial_merged_cost must be a number, got True",
             ),
+            ({"combined_hours": "3.4"}, "combined_hours must be a number, got '3.4'"),
+            ({"per_language_hours": {"en": "2.2"}}, "hours for 'en' must be a number, got '2.2'"),
         ],
-        ids=["slots", "combined-hours", "language-hours", "measured"],
+        ids=[
+            "slots",
+            "combined-hours",
+            "language-hours",
+            "measured",
+            "string-combined-hours",
+            "string-language-hours",
+        ],
     )
     def test_cost_scenario(self, tmp_path, capsys, extra, err):
         path = tmp_path / "scenario.json"
@@ -730,6 +749,29 @@ class TestJsonBooleansAreNotNumbers:
         captured = capsys.readouterr()
         assert captured.err == f"error[validation]: {err}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["merge", "similarity"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("shape", [True, 4]), ("data_offsets", [False, 16])],
+        ids=["shape", "data-offsets"],
+    )
+    def test_container_header(self, tmp_path, capsys, command, field, value):
+        paths = _delta_files(tmp_path, layers=1, shape=(1, 4))
+        entry = {"dtype": "F32", "shape": [1, 4], "data_offsets": [0, 16], field: value}
+        header = {"__metadata__": {"label": "fr"}, "l0.delta": entry}
+        write_raw_container(paths[-1], header, np.ones(4, dtype="<f4").tobytes())
+        out = tmp_path / "out"
+        if command == "merge":
+            config = _write_config(tmp_path / "cfg.json", ["TIES"])
+            argv = ["merge", "--config", config, "--out", str(out), *paths]
+        else:
+            argv = ["similarity", "--csv", str(out), *paths]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error[format]: {paths[-1]}: tensor 'l0.delta' has invalid {field} {value!r}\n"
+        )
+        assert not out.exists()
 
     def test_metrics_bertscore(self, tmp_path, capsys):
         path = tmp_path / "records.jsonl"

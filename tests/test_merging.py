@@ -686,6 +686,11 @@ class TestChunkBoundaries:
         with pytest.raises(ParameterError):
             uniform_stream(5, "en", "w", 8, start)
 
+    @pytest.mark.parametrize("seed, start", [(True, 0), (5, False)], ids=["seed", "start"])
+    def test_stream_rejects_boolean_seed_and_start(self, seed, start):
+        with pytest.raises(ParameterError):
+            uniform_stream(seed, "en", "w", 8, start)
+
 
 @pytest.fixture
 def fast_switching():

@@ -1,17 +1,27 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from loramerge import (
     AlignmentError,
     DeltaMap,
+    LoraAdapter,
     LowRankBlock,
     ParameterError,
     SimilarityUndefinedError,
+    TensorBlock,
+    compute_delta,
     cosine,
     flatten,
+    save_adapter,
+    save_delta,
     similarity_matrix,
 )
+from loramerge.cli import run
 from conftest import random_delta_set
+
+GOLDEN = Path(__file__).parent / "golden" / "similarity"
 
 
 def _delta(arrays, label="x"):
@@ -165,6 +175,30 @@ class TestSimilarityMatrix:
         assert sorted(reads) == ["x"] * 4 + ["y"] * 4
         assert matrix.values.tobytes() == expected.values.tobytes()
 
+    @pytest.mark.parametrize("lowrank", [False, True], ids=["dense", "low-rank"])
+    def test_per_layer_values_are_the_mean_of_layer_cosines(self, lowrank):
+        rng = np.random.default_rng(141)
+        shapes = {"x": (7, 5), "y": (3, 9), "z": (6, 6)}
+
+        def block(name, shape):
+            if lowrank:
+                return LowRankBlock(
+                    name, rng.standard_normal((shape[0], 2)), rng.standard_normal((2, shape[1]))
+                )
+            return TensorBlock(name, rng.standard_normal(shape))
+
+        deltas = [
+            DeltaMap({k: block(k, shape) for k, shape in shapes.items()}, f"m{m}")
+            for m in range(4)
+        ]
+
+        def mean_cosine(a, b):
+            return np.mean([cosine(a.layers[k].values, b.layers[k].values) for k in sorted(shapes)])
+
+        expected = np.array([[mean_cosine(a, b) for b in deltas] for a in deltas])
+        matrix = similarity_matrix(deltas, per_layer=True)
+        assert matrix.values.tobytes() == expected.tobytes()
+
     def test_csv_format(self):
         a = _delta({"l": [[1.0, 0.0]]}, label="en")
         b = _delta({"l": [[1.0, 1.0]]}, label="de")
@@ -174,3 +208,55 @@ class TestSimilarityMatrix:
         assert lines[1] == "en,1.000000,0.707107"
         assert lines[2] == "de,0.707107,1.000000"
         assert csv.endswith("\n")
+
+
+_GOLDEN_SHAPES = {"attn.q_proj": (24, 16), "attn.v_proj": (8, 40), "mlp.down_proj": (33, 7)}
+
+
+def _golden_inputs(directory, kind):
+    """Files ``en``, ``de`` and ``ja`` in ``directory`` over the same three
+    layers of different shapes: delta files (``deltas``), adapter files
+    (``adapters``) or both (``mixed``: ``de`` is an adapter).  Each model's
+    factors share a component, so the scores are far from 0 and 1."""
+    rng = np.random.default_rng(150)
+    shared = {
+        name: (rng.standard_normal((3, d_in)), rng.standard_normal((d_out, 3)))
+        for name, (d_out, d_in) in _GOLDEN_SHAPES.items()
+    }
+    paths = []
+    for m, label in enumerate(("en", "de", "ja")):
+        mix = 0.3 * m
+        layers = {}
+        for name, (d_out, d_in) in _GOLDEN_SHAPES.items():
+            a = (1 - mix) * shared[name][0] + mix * rng.standard_normal((3, d_in))
+            b = (1 - mix) * shared[name][1] + mix * rng.standard_normal((d_out, 3))
+            layers[name] = (TensorBlock(f"{name}.lora_A", a), TensorBlock(f"{name}.lora_B", b))
+        adapter = LoraAdapter(layers, 3, 6.0, label)
+        path = str(directory / f"{label}.tnsr")
+        if kind == "adapters" or (kind == "mixed" and label == "de"):
+            save_adapter(adapter, path)
+        else:
+            layers = {
+                k: b.values + 0.1 * rng.standard_normal(b.shape)
+                for k, b in compute_delta(adapter).layers.items()
+            }
+            save_delta(DeltaMap.from_arrays(layers, label), path)
+        paths.append(path)
+    return paths
+
+
+class TestGoldenBytes:
+    """Exact CSV bytes of ``loramerge similarity``, with and without
+    ``--per-layer``.  The files under ``tests/golden/similarity`` are
+    ``<kind>.csv`` and ``<kind>-per-layer.csv``; they change only with a
+    deliberate change to the scores or their format."""
+
+    @pytest.mark.parametrize("flag", [[], ["--per-layer"]], ids=["flat", "per-layer"])
+    @pytest.mark.parametrize("kind", ["deltas", "adapters", "mixed"])
+    def test_csv_bytes(self, tmp_path, capsys, kind, flag):
+        paths = _golden_inputs(tmp_path, kind)
+        out = tmp_path / "sim.csv"
+        assert run(["similarity", "--csv", str(out), *flag, *paths]) == 0
+        assert capsys.readouterr().err == ""
+        stem = kind + ("-per-layer" if flag else "")
+        assert out.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
