@@ -34,8 +34,8 @@ from .errors import (
     PairingError,
     ParameterError,
     ValidationError,
+    is_finite,
     is_integer,
-    is_real,
 )
 
 _A_SUFFIX = ".lora_A"
@@ -168,12 +168,15 @@ class PendingBlock(container.CheckedBlock):
 
     ``make`` returns an array with the :class:`container.CheckedBlock`
     contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
-    array or the block's values.  It is not cached.
+    array or the block's values.  It is not cached.  ``part``, when given,
+    returns the flat entries ``[start, stop)`` of ``values`` with the same
+    contract, without forming the rest (a delta file's layer has one).
     """
 
     name: str
     shape: tuple[int, ...]
     make: Callable[[], "np.ndarray | TensorBlock | LowRankBlock"]
+    part: Callable[[int, int], np.ndarray] | None = None
 
     @property
     def values(self) -> np.ndarray:
@@ -202,7 +205,7 @@ class LoraAdapter:
             raise ValidationError("adapter has no layers")
         if not is_integer(self.rank) or self.rank < 1:
             raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
-        if not (is_real(self.alpha) and self.alpha > 0 and np.isfinite(self.alpha)):
+        if not (is_finite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         for layer, (a, b) in self.layers.items():
             if len(a.shape) != 2 or len(b.shape) != 2:
@@ -334,7 +337,12 @@ def _delta_from_file(source: container.TensorFile) -> DeltaMap:
                 f"{source.path}: tensor {name!r} does not follow the <layer>.delta convention"
             )
         layer = name[: -len(_DELTA_SUFFIX)]
-        layers[layer] = PendingBlock(layer, shape, functools.partial(source.read, name))
+        layers[layer] = PendingBlock(
+            layer,
+            shape,
+            functools.partial(source.read, name),
+            functools.partial(source.read_range, name),
+        )
     return DeltaMap(layers, source.metadata["label"])
 
 

@@ -34,7 +34,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import DataError, FormatError, OverlapError, StorageError, is_integer
+from .errors import (
+    DataError,
+    FormatError,
+    OverlapError,
+    ParameterError,
+    StorageError,
+    is_integer,
+)
 
 _LEN_FMT = "<Q"
 _LEN_BYTES = 8
@@ -250,10 +257,11 @@ class TensorFile:
     Opening reads the header alone and checks the layout (dtypes, shapes,
     offsets tiling the payload), so ``metadata`` and ``shapes`` (header
     order) are known before any payload is read.  :meth:`read` reads one
-    tensor at its offset into a fresh buffer and checks it for
-    non-finite values there.  Reads go through the descriptor opened here,
-    so they see the file that was checked even after its path is replaced;
-    it stays open until :meth:`close` or until the object is collected.
+    tensor, and :meth:`read_range` a range of its entries, at its offset
+    into a fresh buffer and checks it for non-finite values there.  Reads
+    go through the descriptor opened here, so they see the file that was
+    checked even after its path is replaced; it stays open until
+    :meth:`close` or until the object is collected.
     """
 
     _fh = None
@@ -276,14 +284,22 @@ class TensorFile:
         """Tensor ``name``: a float32 C-order view of a fresh buffer, which is
         read-only, so the view cannot be made writable."""
         shape = self.shapes[name]
-        payload = np.empty(4 * math.prod(shape), dtype=np.uint8)
+        return self.read_range(name, 0, math.prod(shape)).reshape(shape)
+
+    def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
+        """Flat entries ``[start, stop)`` of tensor ``name``, read at their
+        offset and checked for non-finite values, as :meth:`read` is."""
+        if not 0 <= start <= stop <= math.prod(self.shapes[name]):
+            raise ParameterError(f"range [{start}, {stop}) is outside tensor {name!r}")
+        payload = np.empty(4 * (stop - start), dtype=np.uint8)
+        offset = self._base + self._begins[name] + 4 * start
         try:
             with self._lock:
-                _read_at(self._fh, memoryview(payload), self._base + self._begins[name], self.path)
+                _read_at(self._fh, memoryview(payload), offset, self.path)
         except OSError as exc:
             raise StorageError(f"cannot read {self.path}: {exc}") from exc
         payload.setflags(write=False)
-        arr = payload.view(_F32).reshape(shape)
+        arr = payload.view(_F32)
         if not np.isfinite(arr).all():
             raise DataError(f"{self.path}: tensor {name!r} contains non-finite values")
         return arr

@@ -21,11 +21,17 @@ Hours, rates and measured figures are finite non-negative numbers (a JSON
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Iterable, Mapping
 
-from .errors import ParameterError, ReductionUndefinedError, ValidationError, is_integer, is_real
+from .errors import (
+    ParameterError,
+    ReductionUndefinedError,
+    ValidationError,
+    is_finite,
+    is_integer,
+    is_real,
+)
 
 
 def reduction_pct(baseline: float, value: float) -> float:
@@ -56,10 +62,9 @@ def lpt_makespan(hours: Iterable[float], slots: int) -> float:
 def _require_number(value, what: str) -> float:
     if not is_real(value):
         raise ValidationError(f"{what} must be a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
+    if not is_finite(value):
         raise ValidationError(f"{what} must be finite, got {value!r}")
-    return number
+    return float(value)
 
 
 def _require_non_negative(value, what: str) -> float:

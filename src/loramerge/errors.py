@@ -4,14 +4,26 @@ Every error carries a short machine-readable ``code`` (stable, used as the
 one-line prefix on the CLI error stream) and the process exit code the CLI
 maps it to: 1 for validation problems, 2 for I/O, 3 for numerical failures.
 It also holds the one rule for what counts as a number in outside input:
-a string is not one, nor a bool (what a JSON true parses to).
+a string is not one, nor a bool (what a JSON true parses to); and the one
+rule for a finite one: it converts to a finite float, which a JSON integer
+too large for a float does not.
 """
 
+import math
 import numbers
 
 
 def is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    if not is_real(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past float range
+        return False
 
 
 def is_integer(value) -> bool:

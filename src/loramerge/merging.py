@@ -13,11 +13,16 @@ reconstruction stays low-rank.
 
 Every pipeline runs one layer at a time: each model's layer is read, DARE-
 pruned, run through KnOTS and TIES, and the merged layer is done before the
-next layer is touched.  A model's pruned layer is a pending block, formed
-from its input layer only when KnOTS or TIES takes it, so one model's
-layer is formed at a time.  :func:`lazy_merge` leaves each merged layer
-pending until it is read, so writing the result streams the merge from the
-input files to the output file.
+next layer is touched.  Only KnOTS and the TIES trim need a model's whole
+layer.  Where they do, a model's pruned layer is a pending block, formed
+from its input layer only when KnOTS or the trim takes it, so one model's
+layer is formed at a time.  Where neither does (no KnOTS, and a density
+that keeps every entry), no model's layer is formed whole: DARE, the sign
+election and the disjoint mean are entrywise, so each chunk step reads its
+chunk of every model (a ranged read from a delta file), prunes and merges
+it.  :func:`lazy_merge` leaves each merged layer pending until it is read,
+so writing the result streams the merge from the input files to the output
+file.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -42,7 +47,7 @@ import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, thin_svd
 from .container import CheckedBlock
-from .errors import AlignmentError, DataError, ParameterError, is_integer, is_real
+from .errors import AlignmentError, DataError, ParameterError, is_finite, is_integer, is_real
 from .rng import uniform_stream
 
 _PIPELINES = {
@@ -106,9 +111,9 @@ class MergeConfig:
                 weights = None
             if weights is None or not all(map(is_real, weights)):
                 raise ParameterError(f"weights must be numbers, got {self.weights!r}")
-            weights = tuple(float(w) for w in weights)
-            if not weights or any(not (w > 0 and math.isfinite(w)) for w in weights):
+            if not weights or not all(is_finite(w) and float(w) > 0 for w in weights):
                 raise ParameterError("weights must be positive finite numbers")
+            weights = tuple(float(w) for w in weights)
             # TIES sums float32 values times the weights in float64; while
             # this product is finite, none of those sums can overflow
             if not math.isfinite(sum(weights) * float(np.finfo(np.float32).max)):
@@ -227,23 +232,26 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
     from one shared iterator; a helper that cannot be started is done
     without.  Each step writes only its own output slice and
     keeps its scratch to itself, so the bytes do not depend on which thread
-    runs which chunk.  Once a step raises, no thread takes another chunk;
-    the first exception is re-raised here after every helper has finished.
+    runs which chunk.  Once a step raises, no thread takes another chunk,
+    and after every helper has finished the error of the lowest failing
+    start is re-raised here.  Starts are taken in order and a thread ends
+    the chunk it holds before it stops, so every chunk below that start has
+    run: the error raised does not depend on the thread schedule.
     """
     starts = iter(range(0, size, _CHUNK))
     lock = threading.Lock()
-    errors: list[BaseException] = []
+    errors: list[tuple[int, BaseException]] = []
 
     def drain() -> None:
-        try:
-            while not errors:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
+        while not errors:
+            with lock:
+                start = next(starts, None)
+            if start is None:
+                return
+            try:
                 step(start)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
+            except BaseException as exc:  # re-raised by the calling thread
+                errors.append((start, exc))
 
     helpers: list[threading.Thread] = []
     try:
@@ -259,32 +267,46 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
         for thread in helpers:
             thread.join()
     if errors:
-        raise errors[0]
+        raise min(errors, key=lambda error: error[0])[1]
+
+
+def _dare_chunk(
+    part: np.ndarray,
+    kept: np.ndarray,
+    label: str,
+    name: str,
+    start: int,
+    drop_rate: float,
+    seed: int,
+) -> None:
+    """DARE (see :func:`dare_prune`) of the flat entries ``part`` of tensor
+    ``name`` from ``start`` on, into ``kept``, drawn from the stream keyed
+    by (seed, label, name) at that offset; DataError if a survivor leaves
+    float32 range."""
+    u = uniform_stream(seed, label, name, part.size, start)
+    scaled = np.multiply(part, 1.0 / (1.0 - drop_rate), dtype=np.float64)
+    # errstate is per thread, so it is set on the thread that runs the chunk
+    with np.errstate(over="ignore"):
+        kept[...] = scaled
+    # a dropped entry's bits are multiplied by 0, which makes it +0.0
+    # whatever its sign, with no per-entry branch on the random mask
+    bits = kept.view(np.uint32)
+    bits *= u >= drop_rate
+    # the input is finite, so only a survivor's overflow can show here
+    if not np.isfinite(kept).all():
+        raise DataError(f"tensor {name!r} contains non-finite values")
 
 
 def _dare_values(
     values: np.ndarray, label: str, name: str, drop_rate: float, seed: int
 ) -> np.ndarray:
-    """One tensor's DARE (see :func:`dare_prune`), drawn from the stream keyed
-    by (seed, label, name); DataError if a survivor leaves float32 range."""
-    scale = 1.0 / (1.0 - drop_rate)
+    """One tensor's DARE (see :func:`_dare_chunk`), chunk by chunk."""
     flat = values.ravel()
     kept = np.empty(flat.size, dtype=np.float32)
 
     def step(start: int) -> None:
         stop = min(start + _CHUNK, flat.size)
-        u = uniform_stream(seed, label, name, stop - start, start)
-        part = np.multiply(flat[start:stop], scale, dtype=np.float64)
-        # errstate is per thread, so it is set in the step
-        with np.errstate(over="ignore"):
-            kept[start:stop] = part
-        # a dropped entry's bits are multiplied by 0, which makes it +0.0
-        # whatever its sign, with no per-entry branch on the random mask
-        bits = kept[start:stop].view(np.uint32)
-        bits *= u >= drop_rate
-        # the input is finite, so only a survivor's overflow can show here
-        if not np.isfinite(kept[start:stop]).all():
-            raise DataError(f"tensor {name!r} contains non-finite values")
+        _dare_chunk(flat[start:stop], kept[start:stop], label, name, start, drop_rate, seed)
 
     _for_chunks(step, flat.size)
     return kept.reshape(values.shape)
@@ -341,23 +363,41 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     return np.divide(numer, denom, out=term).astype(np.float32)
 
 
-def _ties_layer(values: Iterable[np.ndarray], keep: int, weights: np.ndarray) -> np.ndarray:
-    """Trim each model's layer to ``keep`` entries, elect sign and
-    disjoint-merge the layer across the models.
+_ChunkSource = Callable[[int, int], np.ndarray]  # (start, stop) -> flat float32 entries
+
+
+def _slices(flat: np.ndarray) -> _ChunkSource:
+    return lambda start, stop: flat[start:stop]
+
+
+def _trimmed(values: Iterable[np.ndarray], keep: int) -> list[_ChunkSource]:
+    """Each model's layer trimmed to ``keep`` entries, as a chunk source.
 
     The trim needs the whole layer's threshold, so it runs serially, one
     model at a time: a model's untrimmed layer can be freed once its trimmed
-    copy exists.  Election and the disjoint mean are entrywise, so they run
-    chunk by chunk on every worker.
+    copy exists.
     """
-    trimmed = [_trim_values(v, keep) for v in values]
-    shape = trimmed[0].shape
-    trimmed = [t.ravel() for t in trimmed]
-    merged = np.empty(trimmed[0].size, dtype=np.float32)
+    return [_slices(_trim_values(v, keep).ravel()) for v in values]
+
+
+def _ties_layer(
+    sources: Sequence[_ChunkSource], shape: tuple[int, ...], weights: np.ndarray
+) -> np.ndarray:
+    """Elect sign and disjoint-merge a layer across the models.
+
+    Election and the disjoint mean are entrywise, so they run chunk by chunk
+    on every worker; each step takes its chunk from every model's source in
+    model order.  A source holds a trimmed layer (:func:`_trimmed`) or, where
+    no trim or KnOTS needs the whole layer, reads and prunes each chunk when
+    a step asks for it (:func:`lazy_merge`), so that no model's layer is
+    formed for the merge.
+    """
+    merged = np.empty(math.prod(shape), dtype=np.float32)
 
     def step(start: int) -> None:
-        part = [t[start : start + _CHUNK] for t in trimmed]
-        merged[start : start + _CHUNK] = _disjoint(part, _elect(part, weights), weights)
+        stop = min(start + _CHUNK, merged.size)
+        part = [source(start, stop) for source in sources]
+        merged[start:stop] = _disjoint(part, _elect(part, weights), weights)
 
     _for_chunks(step, merged.size)
     return merged.reshape(shape)
@@ -507,8 +547,9 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     The inputs and config are checked now.  A layer is merged from the
     models' layers each time it is read, with the bytes ``merge`` gives, so
     writing the result (``save_delta``, or ``refactor_to_adapter`` then
-    ``save_adapter``) holds one layer per model at a time and never the
-    whole output.
+    ``save_adapter``) never holds the whole output, and at most one layer
+    per model at a time: none, for an untrimmed layer without KnOTS whose
+    inputs are delta files, which is read chunk by chunk.
     """
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
@@ -524,20 +565,44 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
             lambda: _dare_values(block.values, label, layer, drop_rate, config.seed),
         )
 
+    def chunks(block: CheckedBlock, label: str, layer: str) -> _ChunkSource:
+        # a delta file's layer is read a range at a time; any other is formed
+        # once and sliced
+        if isinstance(block, PendingBlock) and block.part is not None:
+            read = block.part
+        else:
+            read = _slices(block.values.ravel())
+        if drop_rate == 0.0:
+            return read
+
+        def read_pruned(start: int, stop: int) -> np.ndarray:
+            kept = np.empty(stop - start, dtype=np.float32)
+            _dare_chunk(read(start, stop), kept, label, layer, start, drop_rate, config.seed)
+            return kept
+
+        return read_pruned
+
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
-        # a model's layer is read, densified and pruned when the next step takes it
         models = [d.layers[layer] for d in deltas]
+        shape = models[0].shape
+        keep = _trim_count(config.density, math.prod(shape))
+        if not knots and keep >= math.prod(shape):
+            # nothing needs a whole layer: each chunk step reads and prunes
+            # its chunk of every model
+            sources = [chunks(b, d.label, layer) for d, b in zip(deltas, models)]
+            return TensorBlock(layer, _ties_layer(sources, shape, w))
+        # a model's layer is read, densified and pruned when the next step takes it
         if drop_rate > 0.0:
             models = [pruned(b, d.label, layer) for d, b in zip(deltas, models)]
-        d_out, d_in = models[0].shape
         if not knots:
-            keep = _trim_count(config.density, d_out * d_in)
-            return TensorBlock(layer, _ties_layer((b.values for b in models), keep, w))
+            trimmed = _trimmed((b.values for b in models), keep)
+            return TensorBlock(layer, _ties_layer(trimmed, shape, w))
         # TIES on the task parts in the shared basis, as knots_merge describes;
         # the trim counts against the dense parts' size
+        d_out, d_in = shape
         u, _, parts = _concat_svd(layer, models)
         keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
-        product = LowRankBlock(layer, u, _ties_layer(parts, keep, w))
+        product = LowRankBlock(layer, u, _ties_layer(_trimmed(parts, keep), parts[0].shape, w))
         return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
     layers = {

@@ -18,6 +18,7 @@ from .errors import (
     ParameterError,
     RateUndefinedError,
     ValidationError,
+    is_finite,
     is_real,
 )
 
@@ -204,6 +205,8 @@ def evaluate_task(task: str, records: Sequence[dict]) -> dict:
                 score = record["bertscore"]
                 if not is_real(score):
                     raise FormatError(f"record {i}: bertscore must be a number")
+                if not is_finite(score):
+                    raise FormatError(f"record {i}: bertscore must be finite, got {score!r}")
                 bert.append(float(score))
         for name, values in scores.items():
             for part in ("precision", "recall", "f1"):

@@ -105,6 +105,13 @@ class TestAdapterValidation:
             _adapter_1layer(np.zeros((2, 3)), np.zeros((4, 2)), rank=2, alpha=0.0)
 
     @pytest.mark.parametrize(
+        "alpha", [10**400, float("inf"), float("nan")], ids=["huge-int", "inf", "nan"]
+    )
+    def test_alpha_past_float_range_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha must be positive and finite"):
+            _adapter_1layer(np.zeros((1, 3)), np.zeros((4, 1)), rank=1, alpha=alpha)
+
+    @pytest.mark.parametrize(
         "rank, alpha",
         [(True, 1.0), (1, True), (1, "2")],
         ids=["bool-rank", "bool-alpha", "string-alpha"],

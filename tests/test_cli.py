@@ -170,11 +170,12 @@ def _write_config(path, pipeline, **extra):
     return str(path)
 
 
-def _delta_files(tmp_path, layers, shape, seed=88):
-    """Delta files en, de and fr, each with random layers ``l0, l1, ...``."""
+def _delta_files(tmp_path, layers, shape, seed=88, labels=("en", "de", "fr")):
+    """Delta files, en, de and fr by default, each with random layers
+    ``l0, l1, ...``."""
     rng = np.random.default_rng(seed)
     paths = []
-    for label in ("en", "de", "fr"):
+    for label in labels:
         delta = DeltaMap.from_arrays(
             {f"l{i}": rng.standard_normal(shape).astype(np.float32) for i in range(layers)},
             label=label,
@@ -334,6 +335,38 @@ class TestStepErrorInMerge:
         assert not os.path.exists(out)
 
 
+class TestLowestChunkError:
+    """A streamed layer is read a chunk at a time, on two threads; with bad
+    entries in two input files, the one ``error[data]`` line names the file
+    whose bad entry lies in the lowest chunk, on every run."""
+
+    def test_names_the_lowest_chunk_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(merging, "_WORKERS", 2)
+        rng = np.random.default_rng(83)
+        shape = (515, 600)  # five chunks, the last one ragged
+        paths = []
+        for label in ("en", "de", "fr"):
+            values = rng.standard_normal(shape).astype("<f4")
+            if label == "en":
+                values[-1, -1] = np.nan  # the last chunk of the first file
+            if label == "fr":
+                values[0, 7] = np.inf  # the first chunk of the third file
+            entry = {"dtype": "F32", "shape": list(shape), "data_offsets": [0, values.nbytes]}
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            write_raw_container(
+                paths[-1], {"__metadata__": {"label": label}, "w.delta": entry}, values.tobytes()
+            )
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5)
+        out = tmp_path / "merged.tnsr"
+        argv = ["merge", "--config", config, "--out", str(out), *paths]
+        for _ in range(20):
+            assert run(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error[data]: {paths[2]}: tensor 'w.delta' contains non-finite values\n"
+            )
+            assert not out.exists()
+
+
 class TestThreadCountDeterminism:
     """Merges at a shape above OpenBLAS's threading threshold, 1 vs 2 BLAS
     threads, and on one CPU vs all allowed CPUs."""
@@ -431,9 +464,13 @@ class TestStreamedMergeMemory:
     """``loramerge merge`` streams from the input files to ``--out`` one layer
     at a time, so its peak memory does not grow with the layer count; nor
     does that of ``similarity``, with or without ``--per-layer``, which holds
-    one layer per model."""
+    one layer per model.  Where neither the trim nor KnOTS needs a whole
+    layer, ``merge`` reads delta files a chunk at a time, so its peak does
+    not grow with the model count either."""
 
     SHAPE = (64, 4096)  # 1 MB, four chunks; KnOTS concatenates 64 x 12288
+    WIDE = (256, 1024)  # 1 MB, four chunks
+    LABELS = ("en", "de", "fr", "es", "it", "ja")
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -478,6 +515,28 @@ class TestStreamedMergeMemory:
         # 8 layers against 2: six more layers per model in the files, and six
         # more in the output, none of them held at once
         assert peaks[8] - peaks[2] < 4 * math.prod(self.SHAPE), peaks
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("models")
+        return tmp_path, _delta_files(tmp_path, 2, self.WIDE, labels=self.LABELS)
+
+    @pytest.mark.parametrize("pipeline", [["TIES"], ["DARE", "TIES"]], ids=["ties", "dare-ties"])
+    def test_untrimmed_peak_does_not_grow_with_model_count(self, models, monkeypatch, pipeline):
+        monkeypatch.setattr(merging, "_WORKERS", 1)  # see the layer-count test
+        tmp_path, paths = models
+        name = "-".join(pipeline)
+        extra = {"drop_rate": 0.5} if "DARE" in pipeline else {}
+        config = _write_config(tmp_path / f"{name}.json", pipeline, density=1.0, seed=3, **extra)
+        peaks = {
+            count: self._peak(
+                ["merge", "--config", config, "--out", str(tmp_path / f"{name}-{count}.out")]
+                + paths[:count]
+            )
+            for count in (2, 6)
+        }
+        # 6 models against 2: holding each model's layer would add four layers
+        assert peaks[6] - peaks[2] < 2 * 4 * math.prod(self.WIDE), peaks
 
     @pytest.mark.parametrize("flag", [[], ["--per-layer"]], ids=["flat", "per-layer"])
     def test_per_layer_similarity_peak_does_not_grow_with_layer_count(self, inputs, flag):
@@ -685,7 +744,9 @@ class TestSimilarityCommand:
 
 class TestJsonBooleansAreNotNumbers:
     """A JSON ``true`` parses to a Python bool, which is an int; every number
-    read from outside input rejects it, with one error line and exit 1."""
+    read from outside input rejects it, with one error line and exit 1.  So
+    does every finite number read from it reject an integer too large for a
+    float, and a NaN."""
 
     @pytest.mark.parametrize(
         "config, err",
@@ -707,8 +768,19 @@ class TestJsonBooleansAreNotNumbers:
                 {"weights": ["1", "2", "1"]},
                 "error[parameter]: weights must be numbers, got ('1', '2', '1')\n",
             ),
+            (
+                {"weights": [10**400, 1, 1]},
+                "error[parameter]: weights must be positive finite numbers\n",
+            ),
         ],
-        ids=["density-and-seed", "density", "drop-rate", "weights", "string-weights"],
+        ids=[
+            "density-and-seed",
+            "density",
+            "drop-rate",
+            "weights",
+            "string-weights",
+            "huge-int-weights",
+        ],
     )
     def test_merge_config(self, tmp_path, capsys, config, err):
         paths = _delta_files(tmp_path, layers=1, shape=(8, 8))
@@ -731,6 +803,11 @@ class TestJsonBooleansAreNotNumbers:
             ),
             ({"combined_hours": "3.4"}, "combined_hours must be a number, got '3.4'"),
             ({"per_language_hours": {"en": "2.2"}}, "hours for 'en' must be a number, got '2.2'"),
+            ({"combined_hours": 10**400}, f"combined_hours must be finite, got {10**400}"),
+            (
+                {"per_language_hours": {"en": 10**400}},
+                f"hours for 'en' must be finite, got {10**400}",
+            ),
         ],
         ids=[
             "slots",
@@ -739,6 +816,8 @@ class TestJsonBooleansAreNotNumbers:
             "measured",
             "string-combined-hours",
             "string-language-hours",
+            "huge-int-combined-hours",
+            "huge-int-language-hours",
         ],
     )
     def test_cost_scenario(self, tmp_path, capsys, extra, err):
@@ -781,6 +860,21 @@ class TestJsonBooleansAreNotNumbers:
         captured = capsys.readouterr()
         assert captured.err == "error[format]: record 0: bertscore must be a number\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "score, shown", [(10**400, str(10**400)), (float("nan"), "nan")], ids=["huge-int", "nan"]
+    )
+    def test_metrics_bertscore_not_finite(self, tmp_path, capsys, score, shown):
+        path = tmp_path / "records.jsonl"
+        record = {"reference": "the cat sat", "candidate": "the cat", "bertscore": score}
+        path.write_text(json.dumps(record) + "\n")
+        out = tmp_path / "report.json"
+        argv = ["metrics", "--task", "summarization", "--in", str(path), "--json", str(out)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[format]: record 0: bertscore must be finite, got {shown}\n"
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestCostCommand:

@@ -18,6 +18,8 @@ from loramerge import (
     write_tensors,
 )
 from loramerge.adapters import PendingBlock
+from loramerge.container import TensorFile
+from loramerge.errors import ParameterError
 from conftest import write_raw_container
 
 
@@ -285,3 +287,96 @@ def test_write_to_missing_directory_names_the_target(tmp_path):
     assert str(info.value) == (
         f"cannot write {path}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: {path!r}"
     )
+
+
+class TestReadRange:
+    """``TensorFile.read_range`` reads flat entries ``[start, stop)`` of one
+    tensor at their offset and checks that range alone for non-finite
+    values."""
+
+    SHAPE = (515, 300)  # 154500 entries: two 65536-entry chunks and a tail
+
+    @classmethod
+    def _write(cls, path, values):
+        """A container whose second tensor ``b.delta`` holds ``values``."""
+        first = np.arange(6, dtype=np.float32).reshape(2, 3)
+        header = {
+            "__metadata__": {"label": "en"},
+            "a.delta": {"dtype": "F32", "shape": [2, 3], "data_offsets": [0, 24]},
+            "b.delta": {
+                "dtype": "F32",
+                "shape": list(cls.SHAPE),
+                "data_offsets": [24, 24 + 4 * math.prod(cls.SHAPE)],
+            },
+        }
+        write_raw_container(path, header, _payload(first, values))
+
+    @classmethod
+    def _values(cls, seed=5):
+        return np.random.default_rng(seed).standard_normal(cls.SHAPE).astype(np.float32)
+
+    def test_range_to_the_ragged_tail_equals_the_slice_of_the_whole_read(self, tmp_path):
+        path = str(tmp_path / "t.tnsr")
+        self._write(path, self._values())
+        source = TensorFile(path)
+        try:
+            whole = source.read("b.delta").ravel()
+            for start, stop in [(131072, whole.size), (0, 65536), (70, 71), (5, 5)]:
+                part = source.read_range("b.delta", start, stop)
+                assert part.dtype == np.float32 and not part.flags.writeable
+                assert part.tobytes() == whole[start:stop].tobytes()
+        finally:
+            source.close()
+
+    def test_non_finite_entry_outside_the_range_is_not_reported(self, tmp_path):
+        path = str(tmp_path / "t.tnsr")
+        values = self._values()
+        values.flat[70000] = np.inf
+        self._write(path, values)
+        source = TensorFile(path)
+        try:
+            part = source.read_range("b.delta", 0, 65536)
+            assert part.tobytes() == values.ravel()[:65536].tobytes()
+        finally:
+            source.close()
+
+    def test_non_finite_entry_inside_the_range_has_the_whole_read_message(self, tmp_path):
+        path = str(tmp_path / "t.tnsr")
+        values = self._values()
+        values.flat[70000] = np.nan
+        self._write(path, values)
+        source = TensorFile(path)
+        try:
+            with pytest.raises(DataError) as whole:
+                source.read("b.delta")
+            with pytest.raises(DataError) as part:
+                source.read_range("b.delta", 65536, 131072)
+        finally:
+            source.close()
+        assert str(part.value) == str(whole.value)
+        assert str(part.value) == f"{path}: tensor 'b.delta' contains non-finite values"
+
+    def test_range_read_sees_the_checked_file_after_its_path_is_replaced(self, tmp_path):
+        path = str(tmp_path / "t.tnsr")
+        values = self._values()
+        self._write(path, values)
+        source = TensorFile(path)
+        try:
+            other = str(tmp_path / "other.tnsr")
+            self._write(other, self._values(seed=6))
+            os.replace(other, path)
+            part = source.read_range("b.delta", 100000, 100100)
+        finally:
+            source.close()
+        assert part.tobytes() == values.ravel()[100000:100100].tobytes()
+
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 154501)])
+    def test_range_outside_the_tensor_rejected(self, tmp_path, start, stop):
+        path = str(tmp_path / "t.tnsr")
+        self._write(path, self._values())
+        source = TensorFile(path)
+        try:
+            with pytest.raises(ParameterError):
+                source.read_range("b.delta", start, stop)
+        finally:
+            source.close()

@@ -21,6 +21,7 @@ from loramerge import (
     elect_sign,
     knots_merge,
     merge,
+    load_delta,
     refactor_to_adapter,
     save_adapter,
     save_delta,
@@ -92,6 +93,13 @@ class TestMergeConfig:
     def test_weights_must_be_positive(self):
         with pytest.raises(ParameterError):
             MergeConfig(("TIES",), weights=(1.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "weight", [10**400, float("nan"), float("inf")], ids=["huge-int", "nan", "inf"]
+    )
+    def test_weights_must_convert_to_finite_floats(self, weight):
+        with pytest.raises(ParameterError, match="weights must be positive finite numbers"):
+            MergeConfig(("TIES",), weights=(weight, 1))
 
     def test_weights_must_keep_weighted_sums_finite(self):
         # sum(weights) * float32 max must be finite in float64
@@ -595,7 +603,8 @@ class TestGoldenDigests:
 class TestChunkBoundaries:
     """DARE's drops and TIES's election and disjoint mean run over fixed-size
     chunks; a layer spanning several chunks with a ragged tail must give the
-    bytes of the whole-array expressions."""
+    bytes of the whole-array expressions, whether its inputs are held in
+    memory or read a chunk at a time from delta files."""
 
     SHAPE = (515, 300)
 
@@ -648,6 +657,7 @@ class TestChunkBoundaries:
         size = math.prod(self.SHAPE)
         assert size > 2 * merging._CHUNK and size % merging._CHUNK
 
+    @pytest.mark.parametrize("source", ["memory", "file"])
     @pytest.mark.parametrize(
         "pipeline, density, drop_rate, weights",
         [
@@ -658,10 +668,19 @@ class TestChunkBoundaries:
             (("DARE", "TIES"), 1.0, 0.3, (0.5, 3.0, 1.25)),
         ],
     )
-    def test_bytes_equal_whole_array_reference(self, pipeline, density, drop_rate, weights):
+    def test_bytes_equal_whole_array_reference(
+        self, tmp_path, source, pipeline, density, drop_rate, weights
+    ):
         config = MergeConfig(pipeline, density=density, drop_rate=drop_rate, weights=weights, seed=11)
         deltas = self._deltas()
-        out = merge(deltas, config).layers["w"].values
+        inputs = deltas
+        if source == "file":
+            # at density 1 each chunk is a ranged read of every file
+            paths = [str(tmp_path / f"{d.label}.tnsr") for d in deltas]
+            for delta, path in zip(deltas, paths):
+                save_delta(delta, path)
+            inputs = [load_delta(path) for path in paths]
+        out = merge(inputs, config).layers["w"].values
         expected = self._reference(deltas, config)
         assert out.shape == self.SHAPE
         assert out.tobytes() == expected.tobytes()
@@ -841,6 +860,25 @@ class TestStepErrors:
         assert len(ran) < size // merging._CHUNK // 2
         assert threading.active_count() == before
 
+    def test_error_of_the_lowest_failing_chunk_is_raised(self, monkeypatch):
+        """The chunk at ``2 * _CHUNK`` fails at once, the one at ``_CHUNK``
+        after a sleep, on another thread: every chunk below a failing one
+        has run when the error is raised, so it is the ``_CHUNK`` error on
+        every run."""
+        monkeypatch.setattr(merging, "_WORKERS", 2)
+
+        def step(start):
+            if start == merging._CHUNK:
+                time.sleep(0.02)
+                raise _Injected(start)
+            if start == 2 * merging._CHUNK:
+                raise _Injected(start)
+
+        for _ in range(20):
+            with pytest.raises(_Injected) as info:
+                merging._for_chunks(step, 4 * merging._CHUNK)
+            assert info.value.args == (merging._CHUNK,)
+
 
 def test_ties_peak_memory_trims_one_dense_layer_at_a_time():
     """A TIES merge of low-rank layers densifies and trims one model at a
@@ -880,8 +918,10 @@ def test_ties_peak_memory_trims_one_dense_layer_at_a_time():
 
 
 def test_dare_ties_peak_memory_is_about_one_layer_per_model():
-    """Besides its inputs, a streamed DARE+TIES merge holds one pruned layer
-    per model, the output and chunk-sized temporaries."""
+    """Besides its inputs, a DARE+TIES merge at density 1 holds the output
+    and chunk-sized temporaries: each chunk step prunes its chunk of every
+    model, so no pruned layer is held.  The bound also allows the one pruned
+    layer per model that a trimmed merge holds."""
     rng = np.random.default_rng(99)
     shapes = {"a": (1024, 768), "b": (768, 1024), "c": (512, 768), "d": (1024, 640)}
     deltas = [
