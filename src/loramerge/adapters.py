@@ -276,15 +276,6 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
 def _adapter_from_payload(
     tensors: dict[str, np.ndarray], metadata: dict[str, str], path: str
 ) -> LoraAdapter:
-    for key in ("rank", "alpha", "label"):
-        if key not in metadata:
-            raise FormatError(f"{path}: adapter metadata is missing {key!r}")
-    try:
-        rank = int(metadata["rank"])
-        alpha = float(metadata["alpha"])
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed rank/alpha metadata ({exc})") from exc
-
     a_parts: dict[str, np.ndarray] = {}
     b_parts: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
@@ -302,6 +293,14 @@ def _adapter_from_payload(
         raise PairingError(f"{path}: missing lora_B for layer {missing_b[0]!r}")
     if missing_a:
         raise PairingError(f"{path}: missing lora_A for layer {missing_a[0]!r}")
+    for key in ("rank", "alpha", "label"):
+        if key not in metadata:
+            raise FormatError(f"{path}: adapter metadata is missing {key!r}")
+    try:
+        rank = int(metadata["rank"])
+        alpha = float(metadata["alpha"])
+    except ValueError as exc:
+        raise FormatError(f"{path}: malformed rank/alpha metadata ({exc})") from exc
 
     layers = {
         layer: (

@@ -13,16 +13,18 @@ reconstruction stays low-rank.
 
 Every pipeline runs one layer at a time: each model's layer is read, DARE-
 pruned, run through KnOTS and TIES, and the merged layer is done before the
-next layer is touched.  Only KnOTS and the TIES trim need a model's whole
-layer.  Where they do, a model's pruned layer is a pending block, formed
-from its input layer only when KnOTS or the trim takes it, so one model's
+next layer is touched.  A model's layer enters a merge only as a chunk
+source (:func:`_source`): a delta file's layer is read a range at a time,
+any other is formed once and sliced, and DARE prunes each chunk as it is
+read.  Only KnOTS and the TIES trim need a model's whole layer.  Where they
+do, a model's pruned layer is a pending block, filled from its source
+(:func:`_gather`) only when KnOTS or the trim takes it, so one model's
 layer is formed at a time.  Where neither does (no KnOTS, and a density
 that keeps every entry), no model's layer is formed whole: DARE, the sign
-election and the disjoint mean are entrywise, so each chunk step reads its
-chunk of every model (a ranged read from a delta file), prunes and merges
-it.  :func:`lazy_merge` leaves each merged layer pending until it is read,
-so writing the result streams the merge from the input files to the output
-file.
+election and the disjoint mean are entrywise, so each chunk step takes its
+chunk of every model's source and merges it.  :func:`lazy_merge` leaves
+each merged layer pending until it is read, so writing the result streams
+the merge from the input files to the output file.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -271,23 +273,16 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
 
 
 def _dare_chunk(
-    part: np.ndarray,
-    kept: np.ndarray,
-    label: str,
-    name: str,
-    start: int,
-    drop_rate: float,
-    seed: int,
-) -> None:
+    part: np.ndarray, label: str, name: str, start: int, drop_rate: float, seed: int
+) -> np.ndarray:
     """DARE (see :func:`dare_prune`) of the flat entries ``part`` of tensor
-    ``name`` from ``start`` on, into ``kept``, drawn from the stream keyed
-    by (seed, label, name) at that offset; DataError if a survivor leaves
-    float32 range."""
+    ``name`` from ``start`` on, drawn from the stream keyed by (seed, label,
+    name) at that offset; DataError if a survivor leaves float32 range."""
     u = uniform_stream(seed, label, name, part.size, start)
     scaled = np.multiply(part, 1.0 / (1.0 - drop_rate), dtype=np.float64)
     # errstate is per thread, so it is set on the thread that runs the chunk
     with np.errstate(over="ignore"):
-        kept[...] = scaled
+        kept = scaled.astype(np.float32)
     # a dropped entry's bits are multiplied by 0, which makes it +0.0
     # whatever its sign, with no per-entry branch on the random mask
     bits = kept.view(np.uint32)
@@ -295,21 +290,45 @@ def _dare_chunk(
     # the input is finite, so only a survivor's overflow can show here
     if not np.isfinite(kept).all():
         raise DataError(f"tensor {name!r} contains non-finite values")
+    return kept
 
 
-def _dare_values(
-    values: np.ndarray, label: str, name: str, drop_rate: float, seed: int
-) -> np.ndarray:
-    """One tensor's DARE (see :func:`_dare_chunk`), chunk by chunk."""
-    flat = values.ravel()
-    kept = np.empty(flat.size, dtype=np.float32)
+_ChunkSource = Callable[[int, int], np.ndarray]  # (start, stop) -> flat float32 entries
+
+
+def _slices(flat: np.ndarray) -> _ChunkSource:
+    return lambda start, stop: flat[start:stop]
+
+
+def _source(
+    block: CheckedBlock, label: str, layer: str, drop_rate: float, seed: int
+) -> _ChunkSource:
+    """Model ``label``'s layer as a chunk source, DARE-pruned (see
+    :func:`_dare_chunk`) chunk by chunk when ``drop_rate`` is above 0.
+
+    A delta file's layer is read a range at a time; any other is formed
+    once, now, and sliced.
+    """
+    if isinstance(block, PendingBlock) and block.part is not None:
+        read = block.part
+    else:
+        read = _slices(block.values.ravel())
+    if drop_rate == 0.0:
+        return read
+    return lambda start, stop: _dare_chunk(read(start, stop), label, layer, start, drop_rate, seed)
+
+
+def _gather(source: _ChunkSource, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 layer of ``shape`` whose flat entries ``source`` gives,
+    filled chunk by chunk on every worker."""
+    out = np.empty(math.prod(shape), dtype=np.float32)
 
     def step(start: int) -> None:
-        stop = min(start + _CHUNK, flat.size)
-        _dare_chunk(flat[start:stop], kept[start:stop], label, name, start, drop_rate, seed)
+        stop = min(start + _CHUNK, out.size)
+        out[start:stop] = source(start, stop)
 
-    _for_chunks(step, flat.size)
-    return kept.reshape(values.shape)
+    _for_chunks(step, out.size)
+    return out.reshape(shape)
 
 
 def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
@@ -323,7 +342,9 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     if drop_rate == 0.0:
         return DeltaMap(dict(delta.layers), delta.label)
     layers = {
-        layer: TensorBlock(b.name, _dare_values(b.values, delta.label, layer, drop_rate, seed))
+        layer: TensorBlock(
+            b.name, _gather(_source(b, delta.label, layer, drop_rate, seed), b.shape)
+        )
         for layer, b in delta.layers.items()
     }
     return DeltaMap(layers, delta.label)
@@ -363,13 +384,6 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     return np.divide(numer, denom, out=term).astype(np.float32)
 
 
-_ChunkSource = Callable[[int, int], np.ndarray]  # (start, stop) -> flat float32 entries
-
-
-def _slices(flat: np.ndarray) -> _ChunkSource:
-    return lambda start, stop: flat[start:stop]
-
-
 def _trimmed(values: Iterable[np.ndarray], keep: int) -> list[_ChunkSource]:
     """Each model's layer trimmed to ``keep`` entries, as a chunk source.
 
@@ -385,22 +399,19 @@ def _ties_layer(
 ) -> np.ndarray:
     """Elect sign and disjoint-merge a layer across the models.
 
-    Election and the disjoint mean are entrywise, so they run chunk by chunk
-    on every worker; each step takes its chunk from every model's source in
-    model order.  A source holds a trimmed layer (:func:`_trimmed`) or, where
-    no trim or KnOTS needs the whole layer, reads and prunes each chunk when
-    a step asks for it (:func:`lazy_merge`), so that no model's layer is
-    formed for the merge.
+    Election and the disjoint mean are entrywise, so the layer is gathered
+    (:func:`_gather`) chunk by chunk; each chunk is taken from every model's
+    source in model order.  A source holds a trimmed layer (:func:`_trimmed`)
+    or, where no trim or KnOTS needs the whole layer, reads and prunes each
+    chunk when it is asked for (:func:`_source`), so that no model's layer
+    is formed for the merge.
     """
-    merged = np.empty(math.prod(shape), dtype=np.float32)
 
-    def step(start: int) -> None:
-        stop = min(start + _CHUNK, merged.size)
+    def merged(start: int, stop: int) -> np.ndarray:
         part = [source(start, stop) for source in sources]
-        merged[start:stop] = _disjoint(part, _elect(part, weights), weights)
+        return _disjoint(part, _elect(part, weights), weights)
 
-    _for_chunks(step, merged.size)
-    return merged.reshape(shape)
+    return _gather(merged, shape)
 
 
 def elect_sign(
@@ -562,25 +573,8 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         return PendingBlock(
             layer,
             block.shape,
-            lambda: _dare_values(block.values, label, layer, drop_rate, config.seed),
+            lambda: _gather(_source(block, label, layer, drop_rate, config.seed), block.shape),
         )
-
-    def chunks(block: CheckedBlock, label: str, layer: str) -> _ChunkSource:
-        # a delta file's layer is read a range at a time; any other is formed
-        # once and sliced
-        if isinstance(block, PendingBlock) and block.part is not None:
-            read = block.part
-        else:
-            read = _slices(block.values.ravel())
-        if drop_rate == 0.0:
-            return read
-
-        def read_pruned(start: int, stop: int) -> np.ndarray:
-            kept = np.empty(stop - start, dtype=np.float32)
-            _dare_chunk(read(start, stop), kept, label, layer, start, drop_rate, config.seed)
-            return kept
-
-        return read_pruned
 
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
         models = [d.layers[layer] for d in deltas]
@@ -589,7 +583,9 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         if not knots and keep >= math.prod(shape):
             # nothing needs a whole layer: each chunk step reads and prunes
             # its chunk of every model
-            sources = [chunks(b, d.label, layer) for d, b in zip(deltas, models)]
+            sources = [
+                _source(b, d.label, layer, drop_rate, config.seed) for d, b in zip(deltas, models)
+            ]
             return TensorBlock(layer, _ties_layer(sources, shape, w))
         # a model's layer is read, densified and pruned when the next step takes it
         if drop_rate > 0.0:

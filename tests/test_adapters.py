@@ -275,7 +275,7 @@ class TestDeltaIO:
     def test_delta_file_as_adapter_is_format_error(self, tmp_path):
         path = str(tmp_path / "dd.tnsr")
         save_delta(DeltaMap.from_arrays({"a": np.ones((1, 1), np.float32)}, "x"), path)
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="tensor 'a.delta' does not follow the <layer>.lora_A"):
             load_adapter(path)
 
     def test_random_round_trips_bitwise(self, tmp_path):

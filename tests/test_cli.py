@@ -338,10 +338,11 @@ class TestStepErrorInMerge:
 class TestLowestChunkError:
     """A streamed layer is read a chunk at a time, on two threads; with bad
     entries in two input files, the one ``error[data]`` line names the file
-    whose bad entry lies in the lowest chunk, on every run."""
+    whose bad entry lies in the lowest chunk, on every run.  A layer filled
+    one model at a time names the first bad input in input order."""
 
-    def test_names_the_lowest_chunk_input(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(merging, "_WORKERS", 2)
+    @staticmethod
+    def _paths(tmp_path, huge_first_row=False):
         rng = np.random.default_rng(83)
         shape = (515, 600)  # five chunks, the last one ragged
         paths = []
@@ -349,6 +350,8 @@ class TestLowestChunkError:
             values = rng.standard_normal(shape).astype("<f4")
             if label == "en":
                 values[-1, -1] = np.nan  # the last chunk of the first file
+                if huge_first_row:
+                    values[0] = 3e38  # past float32 range once DARE rescales it
             if label == "fr":
                 values[0, 7] = np.inf  # the first chunk of the third file
             entry = {"dtype": "F32", "shape": list(shape), "data_offsets": [0, values.nbytes]}
@@ -356,15 +359,46 @@ class TestLowestChunkError:
             write_raw_container(
                 paths[-1], {"__metadata__": {"label": label}, "w.delta": entry}, values.tobytes()
             )
-        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5)
+        return paths
+
+    @staticmethod
+    def _check(tmp_path, capsys, paths, config, named, repeats):
+        """Every run fails with the one line ``error[data]: <named> contains
+        non-finite values`` and leaves no ``--out``."""
         out = tmp_path / "merged.tnsr"
         argv = ["merge", "--config", config, "--out", str(out), *paths]
-        for _ in range(20):
+        for _ in range(repeats):
             assert run(argv) == 1
-            assert capsys.readouterr().err == (
-                f"error[data]: {paths[2]}: tensor 'w.delta' contains non-finite values\n"
-            )
+            assert capsys.readouterr().err == f"error[data]: {named} contains non-finite values\n"
             assert not out.exists()
+
+    def test_names_the_lowest_chunk_input(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(merging, "_WORKERS", 2)
+        paths = self._paths(tmp_path)
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5)
+        self._check(tmp_path, capsys, paths, config, f"{paths[2]}: tensor 'w.delta'", 20)
+
+    @pytest.mark.parametrize(
+        "pipeline",
+        [["TIES"], ["DARE", "TIES"], ["DARE", "KNOTS", "TIES"]],
+        ids=["ties", "dare-ties", "dare-knots-ties"],
+    )
+    def test_layer_filled_one_model_at_a_time_names_the_first_bad_input(
+        self, tmp_path, capsys, monkeypatch, pipeline
+    ):
+        monkeypatch.setattr(merging, "_WORKERS", 2)
+        paths = self._paths(tmp_path)
+        config = _write_config(tmp_path / "cfg.json", pipeline, density=0.5)
+        self._check(tmp_path, capsys, paths, config, f"{paths[0]}: tensor 'w.delta'", 10)
+
+    def test_dare_overflow_in_a_lower_chunk_is_named_before_a_later_read_fault(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(merging, "_WORKERS", 2)
+        paths = self._paths(tmp_path, huge_first_row=True)
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=0.5)
+        # en's first chunk overflows when pruned, before its last chunk is read
+        self._check(tmp_path, capsys, paths, config, "tensor 'w'", 10)
 
 
 class TestThreadCountDeterminism:
@@ -712,8 +746,14 @@ class TestDeltaCommand:
         adapter, _ = adapters["en"]
         delta_path = str(tmp_path / "d.tnsr")
         save_delta(compute_delta(adapter), delta_path)
-        assert run(["delta", "--out", str(tmp_path / "x.tnsr"), delta_path]) == 1
-        assert "error[format]:" in capsys.readouterr().err
+        out = tmp_path / "x.tnsr"
+        assert run(["delta", "--out", str(out), delta_path]) == 1
+        # the file is the wrong kind, which its tensor names show before any metadata is read
+        assert capsys.readouterr().err == (
+            f"error[format]: {delta_path}: tensor 'layer0.delta' "
+            "does not follow the <layer>.lora_A/.lora_B convention\n"
+        )
+        assert not out.exists()
 
 
 class TestSimilarityCommand:

@@ -28,7 +28,7 @@ from loramerge import (
     ties_merge,
     trim,
 )
-from loramerge import merging
+from loramerge import container, merging
 from loramerge.adapters import LowRankBlock
 from loramerge.merging import _disjoint, _trim_count, _trim_values
 from loramerge.rng import uniform_stream
@@ -709,6 +709,28 @@ class TestChunkBoundaries:
     def test_stream_rejects_boolean_seed_and_start(self, seed, start):
         with pytest.raises(ParameterError):
             uniform_stream(seed, "en", "w", 8, start)
+
+
+@pytest.mark.parametrize(
+    "pipeline", [("DARE", "TIES"), ("DARE", "KNOTS", "TIES")], ids=["dare-ties", "dare-knots-ties"]
+)
+def test_pruned_file_layer_is_filled_from_ranged_reads(tmp_path, monkeypatch, pipeline):
+    """Where the trim or KnOTS takes a model's whole DARE-pruned layer, a
+    delta file's layer is still filled from ranged reads, never read whole
+    first, and gives the bytes of the in-memory merge."""
+    deltas = TestChunkBoundaries._deltas()
+    config = MergeConfig(pipeline, density=0.5, seed=11)
+    expected = merge(deltas, config)
+    paths = [str(tmp_path / f"{d.label}.tnsr") for d in deltas]
+    for delta, path in zip(deltas, paths):
+        save_delta(delta, path)
+
+    def whole_read(self, name):
+        raise AssertionError(f"whole read of {name!r}")
+
+    monkeypatch.setattr(container.TensorFile, "read", whole_read)
+    out = merge([load_delta(path) for path in paths], config)
+    assert deltas_bitwise_equal(out, expected)
 
 
 @pytest.fixture

@@ -34,18 +34,28 @@ def _inputs(tmp_path, kind):
     return paths
 
 
+HALF = {"density": 0.5}
+
+
 @pytest.mark.parametrize(
-    "pipeline, kind, steps",
+    "pipeline, knobs, kind, steps",
     [
-        (["TIES"], "adapter", {"merging.trim", "merging.elect", "merging.disjoint"}),
-        (["DARE", "KNOTS", "TIES"], "delta", {"rng.draw", "merging.trim", "merging.elect"}),
+        (["TIES"], HALF, "adapter", {"merging.trim", "merging.elect", "merging.disjoint"}),
+        (["DARE", "KNOTS", "TIES"], HALF, "delta", {"rng.draw", "merging.trim", "merging.elect"}),
+        # untrimmed: each chunk is read, pruned and merged without forming a layer
+        (
+            ["DARE", "TIES"],
+            {"density": 1.0, "drop_rate": 0.5},
+            "delta",
+            {"rng.draw", "merging.elect", "merging.disjoint"},
+        ),
     ],
-    ids=["ties-adapters", "dare-knots-ties-deltas"],
+    ids=["ties-adapters", "dare-knots-ties-deltas", "streamed-dare-ties-deltas"],
 )
-def test_traced_merge_equals_untraced(tmp_path, pipeline, kind, steps):
+def test_traced_merge_equals_untraced(tmp_path, pipeline, knobs, kind, steps):
     paths = _inputs(tmp_path, kind)
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"pipeline": pipeline, "density": 0.5, "seed": 4}))
+    config.write_text(json.dumps({"pipeline": pipeline, **knobs, "seed": 4}))
     outs = {name: str(tmp_path / f"{name}.tnsr") for name in ("plain", "traced")}
 
     def argv(out):
