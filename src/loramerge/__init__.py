@@ -49,7 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .merging import (
-    KnotsFactors,
     MergeConfig,
     dare_prune,
     disjoint_merge,
@@ -57,7 +56,6 @@ from .merging import (
     knots_merge,
     knots_transform,
     merge,
-    ties_merge,
     trim,
 )
 from .metrics import (
@@ -81,7 +79,6 @@ __all__ = [
     "DataError",
     "DeltaMap",
     "FormatError",
-    "KnotsFactors",
     "LanguageUpdate",
     "LoraAdapter",
     "LowRankBlock",
@@ -129,7 +126,6 @@ __all__ = [
     "save_delta",
     "scenario_from_json_dict",
     "similarity_matrix",
-    "ties_merge",
     "tokenize",
     "trim",
     "update_language",

@@ -9,8 +9,9 @@ are what the merging engine consumes.  An adapter's delta layers stay
 factored (:class:`LowRankBlock`) and are formed one layer at a time, when a
 step needs the dense values.  Every other layer whose values are formed
 late is a :class:`PendingBlock`, formed each time it is read: a delta
-file's layer is read from the file, a DARE-pruned layer is pruned and a
-streamed merge's layer is merged.
+file's layer is read from the file, a DARE-pruned layer is pruned, a
+streamed merge's layer is merged and a refactored adapter's factors are
+taken from the SVD of their layer.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
@@ -164,7 +165,8 @@ def thin_svd(
 @dataclass(frozen=True, eq=False)
 class PendingBlock(container.CheckedBlock):
     """A named layer of known shape that ``make()`` forms, each time it is
-    read: a delta file's layer, a DARE-pruned layer or a streamed merge's.
+    read: a delta file's layer, a DARE-pruned layer, a streamed merge's or
+    a factor of :func:`refactor_to_adapter`.
 
     ``make`` returns an array with the :class:`container.CheckedBlock`
     contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
@@ -374,8 +376,9 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     ``rank`` singular triplets.  The result uses alpha == rank so its
     reconstructed delta is plain ``B @ A``.  A low-rank layer whose own rank
     is below its dimensions (and at least ``rank``) is factored without
-    forming its dense values.  A pending layer (a delta file's, or a
-    streamed merge's) gives pending factors, formed when they are read.
+    forming its dense values.  Every layer gives pending factors: its SVD
+    runs, and raises any NumericalError, when a factor is first read or
+    written (:func:`_pending_factors`).
     """
     delta.validate()
     if not is_integer(rank) or rank < 1:
@@ -385,21 +388,17 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
             raise ParameterError(
                 f"refactor rank {rank} exceeds min dimension of layer {layer!r} {block.shape}"
             )
-    layers = {
-        layer: (
-            _pending_factors(layer, block, rank)
-            if isinstance(block, PendingBlock)
-            else _factors(layer, block, rank)
-        )
-        for layer, block in delta.layers.items()
-    }
+    layers = {layer: _pending_factors(layer, block, rank) for layer, block in delta.layers.items()}
     return LoraAdapter(layers, rank, float(rank), delta.label)
 
 
 def _factors(
-    layer: str, block: np.ndarray | TensorBlock | LowRankBlock, rank: int
+    layer: str, block: container.CheckedBlock, rank: int
 ) -> tuple[TensorBlock, TensorBlock]:
-    """One layer's rank-``rank`` factors ``(A, B)``."""
+    """One layer's rank-``rank`` factors ``(A, B)``; a pending layer is
+    formed first."""
+    if isinstance(block, PendingBlock):
+        block = block.make()
     if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
         left, right = block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
         u, s, vt = thin_svd(layer, left, right)
@@ -412,16 +411,16 @@ def _factors(
 
 
 def _pending_factors(
-    layer: str, block: PendingBlock, rank: int
+    layer: str, block: container.CheckedBlock, rank: int
 ) -> tuple[PendingBlock, PendingBlock]:
-    """A pending layer's factors ``(A, B)``: reading either forms the layer
-    and both factors, and the other is held until it is read."""
+    """A layer's pending factors ``(A, B)``: reading either forms both (see
+    :func:`_factors`), and the other is held until it is read."""
     held: dict[int, TensorBlock] = {}
 
     def part(index: int) -> Callable[[], TensorBlock]:
         def make() -> TensorBlock:
             if index not in held:
-                held.update(enumerate(_factors(layer, block.make(), rank)))
+                held.update(enumerate(_factors(layer, block, rank)))
             return held.pop(index)
 
         return make

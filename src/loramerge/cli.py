@@ -83,24 +83,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_json(path: str) -> dict:
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _read_json(path: str) -> dict:
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _read_jsonl(path: str) -> list[dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
     records = []
-    for number, line in enumerate(lines, start=1):
+    for number, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -437,6 +437,10 @@ def disjoint_merge(
     names = _aligned_layers(trimmed)
     if sorted(signs) != names:
         raise AlignmentError("sign map layers do not match the inputs")
+    for layer in names:
+        a, b = np.shape(signs[layer]), trimmed[0].layers[layer].shape
+        if a != b:
+            raise AlignmentError(f"layer {layer!r} shapes differ: sign map {a} vs inputs {b}")
     w = MergeConfig(weights=weights).weight_vector(len(trimmed))
     layers = {
         layer: TensorBlock(
@@ -451,33 +455,12 @@ def _joint_label(deltas: Sequence[DeltaMap]) -> str:
     return "+".join(d.label for d in deltas if d.label)
 
 
-def ties_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
-    """Trim, elect sign, and disjoint-merge each layer."""
-    merged = merge(deltas, dataclasses.replace(config, pipeline=("TIES",)))
-    return DeltaMap(merged.layers, _joint_label(deltas))
+# (basis, singular values, task parts): float32, float64 and float32 arrays
+_Svd = tuple[np.ndarray, np.ndarray, list[np.ndarray]]
 
 
-@dataclass(frozen=True)
-class KnotsFactors:
-    """Thin SVD of the layerwise concatenation ``[d_1 | ... | d_M]``.
-
-    ``u`` is the shared left basis (d_out x k); ``v_parts`` holds the M
-    task-specific components (k x d_in), each pre-scaled by the singular
-    values so ``u @ v_parts[m]`` reconstructs model m's delta.  k is
-    ``min(d_out, M * d_in)`` on the dense route and the summed rank of the
-    models' low-rank layers on the factored one.
-    """
-
-    u: TensorBlock
-    singular_values: np.ndarray
-    v_parts: list[TensorBlock]
-
-
-def _concat_svd(
-    layer: str, blocks: Sequence[CheckedBlock]
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Thin SVD of ``[d_1 | ... | d_M]`` as the float32 basis, float64
-    singular values and float32 task parts; factored when every block is
+def _concat_svd(layer: str, blocks: Sequence[CheckedBlock]) -> _Svd:
+    """Thin SVD of ``[d_1 | ... | d_M]``; factored when every block is
     low-rank and their summed rank is below the dense rank bound."""
     count = len(blocks)
     d_out, d_in = blocks[0].shape
@@ -512,19 +495,19 @@ def _concat_svd(
     return u.astype(np.float32, order="C"), s, parts
 
 
-def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, KnotsFactors]:
-    """Concatenate the models' layers horizontally and factor with thin SVD."""
+def knots_transform(deltas: Sequence[DeltaMap]) -> dict[str, _Svd]:
+    """Each layer's thin SVD of the models' concatenation ``[d_1 | ... | d_M]``
+    as ``(u, s, parts)`` (see :func:`_concat_svd`): ``u`` is the shared left
+    basis and ``parts[m]``, pre-scaled by ``s``, is model m's task part, so
+    ``u @ parts[m]`` reconstructs its delta.  The basis width is
+    ``min(d_out, M * d_in)`` on the dense route and the models' summed rank
+    on the factored one."""
     if len(deltas) < 2:
         raise ParameterError("KnOTS needs at least two input models")
-    out: dict[str, KnotsFactors] = {}
-    for layer in _aligned_layers(deltas):
-        u, s, parts = _concat_svd(layer, [d.layers[layer] for d in deltas])
-        out[layer] = KnotsFactors(
-            TensorBlock(f"{layer}.basis", u),
-            s,
-            [TensorBlock(f"{layer}.task{m}", part) for m, part in enumerate(parts)],
-        )
-    return out
+    return {
+        layer: _concat_svd(layer, [d.layers[layer] for d in deltas])
+        for layer in _aligned_layers(deltas)
+    }
 
 
 def knots_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:

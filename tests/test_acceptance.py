@@ -32,7 +32,6 @@ from loramerge import (
     save_delta,
     scenario_from_json_dict,
     similarity_matrix,
-    ties_merge,
     update_language,
 )
 from loramerge import LoramergeError, read_tensors
@@ -147,7 +146,7 @@ def test_c3_ties_brute_force_oracle():
                 DeltaMap.from_arrays({"l": row[None, :]}, label=f"m{i}")
                 for i, row in enumerate(rows)
             ]
-            out = ties_merge(
+            out = merge(
                 deltas, MergeConfig(("TIES",), density=density, weights=weights)
             )
             expected = ties_reference([r.tolist() for r in rows], list(weights), density)
@@ -186,15 +185,13 @@ def test_c5_knots_reconstruction():
                     )
                     for m in range(count)
                 ]
-                factors = knots_transform(deltas)["l"]
+                basis, _, parts = knots_transform(deltas)["l"]
                 concat = np.hstack(
                     [d.layers["l"].values.astype(np.float64) for d in deltas]
                 )
-                recon = factors.u.values.astype(np.float64) @ np.hstack(
-                    [p.values.astype(np.float64) for p in factors.v_parts]
-                )
+                recon = basis.astype(np.float64) @ np.hstack(parts, dtype=np.float64)
                 assert np.abs(recon - concat).max() <= 1e-5
-                u = factors.u.values.astype(np.float64)
+                u = basis.astype(np.float64)
                 assert np.abs(u.T @ u - np.eye(u.shape[1])).max() <= 1e-5
 
                 base = deltas[0]

@@ -31,6 +31,7 @@ from loramerge import (
     refactor_to_adapter,
     save_adapter,
     save_delta,
+    write_tensors,
 )
 from loramerge import merging
 from loramerge.cli import run
@@ -139,6 +140,30 @@ class TestMergeCommand:
             ["merge", "--config", config_path, "--weights", "1,x", "--out", out, *paths]
         ) == 1
         assert "error[parameter]:" in capsys.readouterr().err
+
+    def test_seed_flag_gives_the_bytes_of_the_config_seed(self, tmp_path):
+        paths = _delta_files(tmp_path, 2, (6, 5))
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=3)
+        seeded = _write_config(tmp_path / "seeded.json", ["DARE", "TIES"], seed=1234)
+        outs = {name: str(tmp_path / f"{name}.tnsr") for name in ("flag", "seeded", "config")}
+        flagged = ["merge", "--config", config, "--seed", "1234", "--out", outs["flag"]]
+        assert run([*flagged, *paths]) == 0
+        assert run(["merge", "--config", seeded, "--out", outs["seeded"], *paths]) == 0
+        assert run(["merge", "--config", config, "--out", outs["config"], *paths]) == 0
+        flag, by_config, unseeded = (Path(out).read_bytes() for out in outs.values())
+        assert flag == by_config
+        assert flag != unseeded
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_flag_out_of_range(self, tmp_path, capsys, seed):
+        paths = _delta_files(tmp_path, 1, (6, 5))
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"])
+        out = str(tmp_path / "out.tnsr")
+        assert run(["merge", "--config", config, "--seed", seed, "--out", out, *paths]) == 1
+        assert capsys.readouterr().err == (
+            f"error[parameter]: seed must be an unsigned 64-bit integer, got {seed}\n"
+        )
+        assert not os.path.exists(out)
 
     def test_refactor_rank_writes_adapter(self, workspace):
         tmp_path, adapters, config_path = workspace
@@ -279,6 +304,24 @@ class TestDareOverflow:
         result = _run_child(["merge", "--config", config, "--out", out, *paths])
         assert result.returncode == 1
         assert result.stderr == "error[data]: tensor 'l.task0' contains non-finite values\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "pipeline, extra",
+        [(["KNOTS", "TIES"], {}), (["DARE", "KNOTS", "TIES"], {"drop_rate": 0.05, "seed": 1})],
+        ids=["knots-ties", "dare-knots-ties"],
+    )
+    def test_knots_task_part_past_float32_range_in_process(
+        self, tmp_path, capsys, pipeline, extra
+    ):
+        """DARE's rescale by 1 / 0.95 keeps every survivor finite; the first
+        task part of the concatenation is not."""
+        paths = _huge_delta_files(tmp_path)
+        config = _write_config(tmp_path / "cfg.json", pipeline, **extra)
+        out = str(tmp_path / "out.tnsr")
+        assert run(["merge", "--config", config, "--out", out, *paths]) == 1
+        err = capsys.readouterr().err
+        assert err == "error[data]: tensor 'l.task0' contains non-finite values\n"
         assert not os.path.exists(out)
 
 
@@ -731,6 +774,63 @@ class TestAtomicOut:
             f"error[io]: cannot write {out}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
         ]
         assert sorted(os.listdir(tmp_path)) == before
+
+
+class TestInputFileChecks:
+    """A malformed input file gives one ``error[<code>]`` line and no output."""
+
+    @pytest.mark.parametrize(
+        "tensors, metadata, line",
+        [
+            (
+                {"l.delta": np.ones((2, 2, 2))},
+                {"label": "en"},
+                "error[validation]: layer 'l': delta must be 2-D, got (2, 2, 2)",
+            ),
+            (
+                {"l.delta": np.ones((2, 2))},
+                {},
+                "error[format]: {path}: delta metadata is missing 'label'",
+            ),
+            (
+                {"l.lora_B": np.ones((2, 1))},
+                {"rank": "1", "alpha": "1.0", "label": "en"},
+                "error[pairing]: {path}: missing lora_A for layer 'l'",
+            ),
+            (
+                {"l.lora_A": np.ones((1, 2)), "l.lora_B": np.ones((2, 1))},
+                {"rank": "one", "alpha": "1.0", "label": "en"},
+                "error[format]: {path}: malformed rank/alpha metadata (",
+            ),
+        ],
+        ids=["3-d-delta", "delta-without-label", "b-without-a", "rank-not-a-number"],
+    )
+    def test_merge_input(self, tmp_path, capsys, tensors, metadata, line):
+        path = str(tmp_path / "in.tnsr")
+        write_tensors(path, tensors, metadata)
+        config = _write_config(tmp_path / "cfg.json", ["TIES"])
+        out = str(tmp_path / "out.tnsr")
+        assert run(["merge", "--config", config, "--out", out, path]) == 1
+        (got,) = capsys.readouterr().err.splitlines()
+        assert got.startswith(line.format(path=path))
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["merge", "cost", "metrics"])
+    def test_json_input_not_utf8(self, workspace, capsys, command):
+        tmp_path, adapters, _ = workspace
+        path = str(tmp_path / "latin1.json")
+        Path(path).write_bytes('{"pipeline": ["TIES"], "name": "caf\u00e9"}\n'.encode("latin-1"))
+        out = str(tmp_path / "out")
+        argv = {
+            "merge": ["merge", "--config", path, "--out", out]
+            + [p for _, p in adapters.values()],
+            "cost": ["cost", "--scenario", path, "--json", out],
+            "metrics": ["metrics", "--task", "sentiment", "--in", path, "--json", out],
+        }[command]
+        assert run(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error[format]: {path}: not UTF-8 text (")
+        assert not os.path.exists(out)
 
 
 class TestDeltaCommand:

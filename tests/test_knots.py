@@ -34,37 +34,33 @@ class TestTransform:
         shapes = {k: b.shape for k, b in deltas[0].layers.items()}
         factors = knots_transform(deltas)
         for layer, (d_out, d_in) in shapes.items():
-            fac = factors[layer]
+            u, _, parts = factors[layer]
             k = min(d_out, 3 * d_in)
-            assert fac.u.shape == (d_out, k)
-            assert len(fac.v_parts) == 3
-            assert all(p.shape == (k, d_in) for p in fac.v_parts)
-            recon = fac.u.values.astype(np.float64) @ np.hstack(
-                [p.values.astype(np.float64) for p in fac.v_parts]
-            )
+            assert u.shape == (d_out, k)
+            assert len(parts) == 3
+            assert all(p.shape == (k, d_in) for p in parts)
+            recon = u.astype(np.float64) @ np.hstack(parts, dtype=np.float64)
             assert np.abs(recon - _concat(deltas, layer)).max() < 1e-5
 
     def test_left_basis_orthonormal(self):
         rng = np.random.default_rng(52)
         deltas = random_delta_set(rng, 2, layers=2, max_dim=8)
-        for fac in knots_transform(deltas).values():
-            u = fac.u.values.astype(np.float64)
+        for u, _, _ in knots_transform(deltas).values():
+            u = u.astype(np.float64)
             gram = u.T @ u
             assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-5
 
     def test_singular_values_descending(self):
         rng = np.random.default_rng(53)
         deltas = random_delta_set(rng, 3, layers=1, max_dim=8)
-        for fac in knots_transform(deltas).values():
-            s = fac.singular_values
+        for _, s, _ in knots_transform(deltas).values():
             assert (np.diff(s) <= 1e-12).all()
 
     def test_identical_inputs_share_components(self):
         rng = np.random.default_rng(54)
         (delta,) = random_delta_set(rng, 1, layers=1, max_dim=6)
         factors = knots_transform([delta, delta])
-        for fac in factors.values():
-            a, b = (p.values for p in fac.v_parts)
+        for _, _, (a, b) in factors.values():
             assert np.abs(a - b).max() < 1e-5
 
 
@@ -96,13 +92,11 @@ class TestKnotsMerge:
         factors = knots_transform(deltas)
         w = np.asarray(weights, dtype=np.float64)
         for layer in shapes:
-            fac = factors[layer]
-            trimmed = [_trim_values(p.values, _trim_count(0.5, p.size)) for p in fac.v_parts]
+            u, _, parts = factors[layer]
+            trimmed = [_trim_values(p, _trim_count(0.5, p.size)) for p in parts]
             signs = _elect(trimmed, w)
             merged = _disjoint(trimmed, signs, w)
-            expected = (
-                fac.u.values.astype(np.float64) @ merged.astype(np.float64)
-            ).astype(np.float32)
+            expected = (u.astype(np.float64) @ merged.astype(np.float64)).astype(np.float32)
             np.testing.assert_array_equal(out.layers[layer].values, expected)
 
     def test_requires_knots_pipeline(self):
@@ -161,12 +155,12 @@ class TestFactoredRoute:
 
     def test_basis_is_orthonormal_with_summed_rank_and_reconstructs(self, factored_set):
         _, lazy, _ = factored_set
-        fac = knots_transform(lazy)["layer0"]
-        assert fac.u.shape == (512, 5 * 16)
-        assert all(p.shape == (5 * 16, 512) for p in fac.v_parts)
-        u = fac.u.values.astype(np.float64)
+        u, _, parts = knots_transform(lazy)["layer0"]
+        assert u.shape == (512, 5 * 16)
+        assert all(p.shape == (5 * 16, 512) for p in parts)
+        u = u.astype(np.float64)
         assert np.abs(u.T @ u - np.eye(80)).max() < 1e-5
-        recon = u @ np.hstack([p.values.astype(np.float64) for p in fac.v_parts])
+        recon = u @ np.hstack(parts, dtype=np.float64)
         assert _relative(recon, _concat(lazy, "layer0")) < 1e-6
 
     @pytest.mark.parametrize("density", [1.0, 0.5, 0.05, 0.01])
@@ -185,8 +179,8 @@ class TestFactoredRoute:
         # than the 80 x 512 factored ones hold
         keep = math.ceil(0.05 * 512 * 512)
         assert keep < 80 * 512
-        factors = knots_transform(lazy)["layer0"]
-        trimmed = _trim_values(factors.v_parts[0].values, keep)
+        _, _, parts = knots_transform(lazy)["layer0"]
+        trimmed = _trim_values(parts[0], keep)
         assert np.count_nonzero(trimmed) == keep
 
     def test_refactor_reaches_the_eckart_young_optimum(self, factored_set):
@@ -227,5 +221,5 @@ class TestDenseRoute:
 
     def test_mixed_inputs_take_the_dense_route(self, factored_set):
         _, lazy, dense = factored_set
-        fac = knots_transform([lazy[0], dense[1]])["layer0"]
-        assert fac.u.shape == (512, 512)
+        u, _, _ = knots_transform([lazy[0], dense[1]])["layer0"]
+        assert u.shape == (512, 512)

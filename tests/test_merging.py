@@ -25,7 +25,6 @@ from loramerge import (
     refactor_to_adapter,
     save_adapter,
     save_delta,
-    ties_merge,
     trim,
 )
 from loramerge import container, merging
@@ -332,6 +331,12 @@ class TestDisjointMerge:
         with pytest.raises(ParameterError):
             disjoint_merge(deltas, elect_sign(deltas), weights=weights)
 
+    @pytest.mark.parametrize("shape", [(2, 1), (1,), (1, 1, 1)])
+    def test_sign_map_of_the_wrong_shape_rejected(self, shape):
+        deltas = _column_deltas([1.0, 2.0])
+        with pytest.raises(AlignmentError, match=r"layer 'l' shapes differ: sign map"):
+            disjoint_merge(deltas, {"l": np.ones(shape, np.int8)})
+
     def test_unmatched_entries_are_positive_zero(self):
         # every value has the opposite sign to, or is a zero of either sign
         # under, the elected sign; negative values times "no match" give -0.0
@@ -374,20 +379,20 @@ class TestTiesMerge:
     def test_single_input_density_one_identity(self):
         rng = np.random.default_rng(33)
         (delta,) = random_delta_set(rng, 1)
-        out = ties_merge([delta], MergeConfig(("TIES",), density=1.0))
+        out = merge([delta], MergeConfig(("TIES",), density=1.0))
         assert deltas_bitwise_equal(out, delta)
 
     def test_duplicate_inputs_identity(self):
         rng = np.random.default_rng(34)
         (delta,) = random_delta_set(rng, 1)
-        out = ties_merge([delta, delta], MergeConfig(("TIES",), density=1.0))
+        out = merge([delta, delta], MergeConfig(("TIES",), density=1.0))
         assert deltas_bitwise_equal(out, delta)
 
     def test_matches_reference_on_three_vectors(self):
         rng = np.random.default_rng(35)
         rows = [rng.standard_normal(4).astype(np.float32) for _ in range(3)]
         deltas = [DeltaMap.from_arrays({"l": r[None, :]}, label=f"m{i}") for i, r in enumerate(rows)]
-        out = ties_merge(deltas, MergeConfig(("TIES",), density=0.5))
+        out = merge(deltas, MergeConfig(("TIES",), density=0.5))
         expected = ties_reference([r.tolist() for r in rows], [1.0, 1.0, 1.0], 0.5)
         np.testing.assert_allclose(out.layers["l"].values[0], expected, atol=1e-6)
 
@@ -404,7 +409,7 @@ class TestTiesMerge:
                 for i, r in enumerate(rows)
             ]
             config = MergeConfig(("TIES",), density=density, weights=weights)
-            out = ties_merge(deltas, config).layers["l"].values[0]
+            out = merge(deltas, config).layers["l"].values[0]
             expected = ties_reference([r.tolist() for r in rows], list(weights), density)
             np.testing.assert_allclose(out, expected, atol=1e-6)
 
@@ -412,7 +417,7 @@ class TestTiesMerge:
         rng = np.random.default_rng(37)
         deltas = random_delta_set(rng, 3)
         config = MergeConfig(("TIES",), density=0.5)
-        base = ties_merge(deltas, config)
+        base = merge(deltas, config)
         for scale in (0.5, 2.0, 8.0):
             scaled_inputs = [
                 DeltaMap.from_arrays(
@@ -420,7 +425,7 @@ class TestTiesMerge:
                 )
                 for d in deltas
             ]
-            out = ties_merge(scaled_inputs, config)
+            out = merge(scaled_inputs, config)
             for layer in base.layers:
                 expected = base.layers[layer].values * np.float32(scale)
                 assert out.layers[layer].values.tobytes() == expected.tobytes()
@@ -428,8 +433,8 @@ class TestTiesMerge:
     def test_weight_scale_invariance(self):
         rng = np.random.default_rng(38)
         deltas = random_delta_set(rng, 3)
-        a = ties_merge(deltas, MergeConfig(("TIES",), density=0.5, weights=(1.0, 2.0, 3.0)))
-        b = ties_merge(deltas, MergeConfig(("TIES",), density=0.5, weights=(2.5, 5.0, 7.5)))
+        a = merge(deltas, MergeConfig(("TIES",), density=0.5, weights=(1.0, 2.0, 3.0)))
+        b = merge(deltas, MergeConfig(("TIES",), density=0.5, weights=(2.5, 5.0, 7.5)))
         for layer in a.layers:
             np.testing.assert_allclose(
                 a.layers[layer].values, b.layers[layer].values, atol=1e-6
@@ -437,7 +442,7 @@ class TestTiesMerge:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ParameterError):
-            ties_merge([], MergeConfig(("TIES",)))
+            merge([], MergeConfig(("TIES",)))
 
 
 class TestMergeDispatch:
@@ -514,8 +519,8 @@ class TestMergeDispatch:
 
 
 class TestOnePath:
-    """``merge``, ``lazy_merge``, ``ties_merge`` and ``knots_merge`` run one
-    per-layer pipeline, so they give the same bytes."""
+    """``merge``, ``lazy_merge`` and ``knots_merge`` run one per-layer
+    pipeline, so they give the same bytes."""
 
     PIPELINES = [("TIES",), ("KNOTS", "TIES"), ("DARE", "TIES"), ("DARE", "KNOTS", "TIES")]
 
@@ -546,13 +551,11 @@ class TestOnePath:
             assert written["lazy"] == written["whole"], kind
 
     @pytest.mark.parametrize(
-        "merger, pipeline",
-        [(ties_merge, ("TIES",)), (knots_merge, ("KNOTS", "TIES"))],
-        ids=["ties_merge", "knots_merge"],
+        "merger, pipeline", [(knots_merge, ("KNOTS", "TIES"))], ids=["knots_merge"]
     )
     def test_map_merges_are_merge_with_a_fixed_pipeline(self, merger, pipeline):
         for deltas in self._input_sets().values():
-            # DARE in the config is not run: the map-level merges fix the pipeline
+            # DARE in the config is not run: the map-level merge fixes the pipeline
             out = merger(deltas, MergeConfig(("DARE", *pipeline), density=0.5, seed=7))
             expected = merge(deltas, MergeConfig(pipeline, density=0.5, seed=7))
             assert out.label == "en+de+fr"
@@ -591,7 +594,7 @@ class TestGoldenDigests:
         assert not np.signbit(values[values == 0]).any()
 
     def test_ties(self):
-        out = ties_merge(self._deltas(), MergeConfig(("TIES",), density=0.5))
+        out = merge(self._deltas(), MergeConfig(("TIES",), density=0.5))
         assert out.layers["layers.0.q_proj"].values[0, :16].tobytes() == bytes(64)
         self._check(out, self.TIES_SHA256)
 
