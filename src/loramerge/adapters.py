@@ -134,7 +134,11 @@ class LowRankBlock(container.CheckedBlock):
 
     @property
     def values(self) -> np.ndarray:
-        product = self.left.astype(np.float64) @ self.right.astype(np.float64)
+        # on one thread: OpenBLAS's idle workers would otherwise spin on the
+        # cores the merge's chunk workers need, and its split of a large
+        # product changes the float64 rounding with the thread count
+        with one_thread():
+            product = self.left.astype(np.float64) @ self.right.astype(np.float64)
         product *= self.scale
         # finite: construction proved it, or formed it and rejected an inf
         with np.errstate(over="ignore"):

@@ -1,8 +1,10 @@
 import threading
 
+import numpy as np
 import pytest
 
 from loramerge import blas
+from loramerge.adapters import LowRankBlock
 
 _calls = blas._thread_calls()
 pytestmark = pytest.mark.skipif(_calls is None, reason="the BLAS has no thread-count calls")
@@ -63,5 +65,28 @@ def test_overlapping_sections_on_two_threads(get):
         assert entered.wait(timeout=30)
     first_left.set()
     thread.join(timeout=30)
+    assert seen == [1]
+    assert get() == 2
+
+
+def test_densify_runs_on_one_thread(get):
+    seen = []
+
+    class Spy(np.ndarray):
+        """Records the thread count when it is multiplied."""
+
+        def __matmul__(self, other):
+            seen.append(get())
+            return np.asarray(self) @ other
+
+    rng = np.random.default_rng(3)
+    block = LowRankBlock(
+        "l",
+        rng.standard_normal((515, 7)).astype(np.float32),
+        rng.standard_normal((7, 300)).astype(np.float32),
+    )
+    # astype keeps the subclass, so the float64 factor the densify multiplies is a Spy
+    object.__setattr__(block, "left", block.left.view(Spy))
+    assert block.values.shape == (515, 300)
     assert seen == [1]
     assert get() == 2

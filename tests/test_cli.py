@@ -460,12 +460,12 @@ class TestThreadCountDeterminism:
         return tmp_path, paths
 
     @staticmethod
-    def _outputs(tmp_path, paths, pipeline):
-        """The bytes of one merge at 1 and at 2 BLAS threads."""
+    def _outputs(tmp_path, paths, pipeline, thread_counts=("1", "2")):
+        """The bytes of one merge at each BLAS thread count, 1 and 2 by default."""
         name = "-".join(pipeline)
         config = _write_config(tmp_path / f"{name}.json", pipeline, seed=42)
         outputs = []
-        for threads in ("1", "2"):
+        for threads in thread_counts:
             out = str(tmp_path / f"{name}-t{threads}.tnsr")
             env = dict(
                 os.environ,
@@ -506,6 +506,22 @@ class TestThreadCountDeterminism:
             save_adapter(adapter, paths[-1])
         outputs = self._outputs(tmp_path, paths, ["KNOTS", "TIES"])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "shape, rank", [((515, 300), 7), ((1024, 1024), 16)], ids=["515x300-r7", "1024x1024-r16"]
+    )
+    def test_ties_on_adapters_byte_identical_at_1_2_and_8_threads(self, tmp_path, shape, rank):
+        """The densify ``B @ A`` of a layer above the threading threshold runs
+        on one BLAS thread, so the merged bytes do not follow the count."""
+        rng = np.random.default_rng(87)
+        d_out, d_in = shape
+        paths = []
+        for label in ("en", "de", "fr"):
+            adapter = random_adapter(rng, rank=rank, label=label, dims=[(d_in, d_out)])
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_adapter(adapter, paths[-1])
+        outputs = self._outputs(tmp_path, paths, ["TIES"], thread_counts=("1", "2", "8"))
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_byte_identical_dense_route_on_delta_files(self, tmp_path):
         paths = _delta_files(tmp_path, layers=2, shape=(768, 768), seed=86)

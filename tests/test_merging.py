@@ -224,6 +224,40 @@ class TestTrim:
                 assert out.tobytes() == expected.tobytes(), (kind, density)
                 assert out.shape == shape, (kind, density)
 
+    @staticmethod
+    def _where_trim(values, keep):
+        """The trim as it was written with ``np.where``, kept as the reference
+        for the bit-pattern zeroing."""
+        flat = values.ravel()
+        mag = np.abs(flat)
+        kth = flat.size - keep
+        threshold = np.partition(mag, kth)[kth]
+        mask = mag > threshold
+        ties = np.flatnonzero(mag == threshold)
+        mask[ties[: keep - np.count_nonzero(mask)]] = True
+        return np.where(mask, flat, np.float32(0.0)).reshape(values.shape), mask
+
+    def test_bit_zeroing_equals_where_form(self):
+        rng = np.random.default_rng(25)
+        integers = rng.integers(-4, 5, size=(515, 300)).astype(np.float32)
+        integers[::7] = -0.0
+        inputs = {
+            "rank16_1024": rng.standard_normal((1024, 16)).astype(np.float32)
+            @ rng.standard_normal((16, 1024)).astype(np.float32),
+            "integer_515x300": integers,
+        }
+        for kind, values in inputs.items():
+            for density in (0.1, 0.5, 0.9):
+                keep = _trim_count(density, values.size)
+                expected, kept = self._where_trim(values, keep)
+                out = _trim_values(values, keep)
+                assert out.tobytes() == expected.tobytes(), (kind, density)
+                dropped = out.ravel()[~kept]
+                assert (dropped == 0).all(), (kind, density)
+                assert not np.signbit(dropped).any(), (kind, density)
+                # entries with the sign bit set (negatives, or -0.0) were dropped
+                assert np.signbit(values.ravel()[~kept]).any(), (kind, density)
+
 
 class TestDare:
     def test_zero_drop_rate_is_bitwise_identity(self):
