@@ -176,7 +176,12 @@ class PendingBlock(container.CheckedBlock):
     contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
     array or the block's values.  It is not cached.  ``part``, when given,
     returns the flat entries ``[start, stop)`` of ``values`` with the same
-    contract, without forming the rest (a delta file's layer has one).
+    contract, without forming the rest: a delta file's layer has one, and
+    so has a streamed merge's layer whose inputs all have one.  A source
+    that is DARE-pruned, or merged from such sources, draws from a Philox
+    stream whose counter steps by 4 entries, so ``start`` must then be a
+    multiple of 4.  :func:`container.write_tensors` writes a block with a
+    ``part`` a slab at a time.
     """
 
     name: str

@@ -24,7 +24,11 @@ that keeps every entry), no model's layer is formed whole: DARE, the sign
 election and the disjoint mean are entrywise, so each chunk step takes its
 chunk of every model's source and merges it.  :func:`lazy_merge` leaves
 each merged layer pending until it is read, so writing the result streams
-the merge from the input files to the output file.
+the merge from the input files to the output file.  Where no model's layer
+is formed and every model's layer is read by range (delta files), a range
+of the merged layer is merged from the same range of every model, so the
+writer forms and writes it a slab at a time and the merged layer is not
+held whole either.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -323,14 +327,14 @@ def _source(
     return lambda start, stop: _dare_chunk(read(start, stop), label, layer, start, drop_rate, seed)
 
 
-def _gather(source: _ChunkSource, shape: tuple[int, ...]) -> np.ndarray:
-    """The float32 layer of ``shape`` whose flat entries ``source`` gives,
-    filled chunk by chunk on every worker."""
+def _gather(source: _ChunkSource, shape: tuple[int, ...], start: int = 0) -> np.ndarray:
+    """The float32 array of ``shape`` whose flat entries ``source`` gives
+    from ``start`` on, filled chunk by chunk on every worker."""
     out = np.empty(math.prod(shape), dtype=np.float32)
 
-    def step(start: int) -> None:
-        stop = min(start + _CHUNK, out.size)
-        out[start:stop] = source(start, stop)
+    def step(offset: int) -> None:
+        stop = min(offset + _CHUNK, out.size)
+        out[offset:stop] = source(start + offset, start + stop)
 
     _for_chunks(step, out.size)
     return out.reshape(shape)
@@ -401,9 +405,13 @@ def _trimmed(values: Iterable[np.ndarray], keep: int) -> list[_ChunkSource]:
 
 
 def _ties_layer(
-    sources: Sequence[_ChunkSource], shape: tuple[int, ...], weights: np.ndarray
+    sources: Sequence[_ChunkSource],
+    shape: tuple[int, ...],
+    weights: np.ndarray,
+    start: int = 0,
 ) -> np.ndarray:
-    """Elect sign and disjoint-merge a layer across the models.
+    """Elect sign and disjoint-merge a layer, or its flat entries of
+    ``shape`` from ``start`` on, across the models.
 
     Election and the disjoint mean are entrywise, so the layer is gathered
     (:func:`_gather`) chunk by chunk; each chunk is taken from every model's
@@ -413,11 +421,11 @@ def _ties_layer(
     is formed for the merge.
     """
 
-    def merged(start: int, stop: int) -> np.ndarray:
-        part = [source(start, stop) for source in sources]
+    def merged(begin: int, stop: int) -> np.ndarray:
+        part = [source(begin, stop) for source in sources]
         return _disjoint(part, _elect(part, weights), weights)
 
-    return _gather(merged, shape)
+    return _gather(merged, shape, start)
 
 
 def elect_sign(
@@ -549,7 +557,10 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     writing the result (``save_delta``, or ``refactor_to_adapter`` then
     ``save_adapter``) never holds the whole output, and at most one layer
     per model at a time: none, for an untrimmed layer without KnOTS whose
-    inputs are delta files, which is read chunk by chunk.
+    inputs are delta files, which is read chunk by chunk.  Such a layer's
+    block has a ``part``, which merges only the range asked for (checked
+    for finiteness, as the whole layer is), so ``save_delta`` holds none of
+    the merged layer beyond a slab.
     """
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
@@ -565,21 +576,33 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
             lambda: _gather(_source(block, label, layer, drop_rate, config.seed), block.shape),
         )
 
+    def streamed(layer: str) -> bool:
+        size = math.prod(deltas[0].layers[layer].shape)
+        return not knots and _trim_count(config.density, size) >= size
+
+    def sources(layer: str) -> list[_ChunkSource]:
+        return [_source(d.layers[layer], d.label, layer, drop_rate, config.seed) for d in deltas]
+
+    def merged_part(layer: str, start: int, stop: int) -> np.ndarray:
+        # the TensorBlock check of the whole layer, on the range
+        part = _ties_layer(sources(layer), (stop - start,), w, start)
+        if not np.isfinite(part).all():
+            raise DataError(f"tensor {layer!r} contains non-finite values")
+        part.setflags(write=False)
+        return part
+
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
         models = [d.layers[layer] for d in deltas]
         shape = models[0].shape
-        keep = _trim_count(config.density, math.prod(shape))
-        if not knots and keep >= math.prod(shape):
+        if streamed(layer):
             # nothing needs a whole layer: each chunk step reads and prunes
             # its chunk of every model
-            sources = [
-                _source(b, d.label, layer, drop_rate, config.seed) for d, b in zip(deltas, models)
-            ]
-            return TensorBlock(layer, _ties_layer(sources, shape, w))
+            return TensorBlock(layer, _ties_layer(sources(layer), shape, w))
         # a model's layer is read, densified and pruned when the next step takes it
         if drop_rate > 0.0:
             models = [pruned(b, d.label, layer) for d, b in zip(deltas, models)]
         if not knots:
+            keep = _trim_count(config.density, math.prod(shape))
             trimmed = _trimmed((b.values for b in models), keep)
             return TensorBlock(layer, _ties_layer(trimmed, shape, w))
         # TIES on the task parts in the shared basis, as knots_merge describes;
@@ -590,9 +613,20 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         product = LowRankBlock(layer, u, _ties_layer(_trimmed(parts, keep), parts[0].shape, w))
         return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
+    def ranged(layer: str) -> bool:
+        return all(
+            isinstance(b, PendingBlock) and b.part is not None
+            for b in (d.layers[layer] for d in deltas)
+        )
+
     layers = {
         layer: PendingBlock(
-            layer, deltas[0].layers[layer].shape, functools.partial(merge_layer, layer)
+            layer,
+            deltas[0].layers[layer].shape,
+            functools.partial(merge_layer, layer),
+            # a range of a streamed layer is merged from the same range of
+            # every model, when every model's layer can be read by range
+            functools.partial(merged_part, layer) if streamed(layer) and ranged(layer) else None,
         )
         for layer in names
     }

@@ -22,6 +22,7 @@ from loramerge import (
     save_delta,
     write_tensors,
 )
+from loramerge import container, merging
 from conftest import adapters_equal, deltas_bitwise_equal, random_adapter, random_delta
 
 
@@ -290,6 +291,26 @@ class TestDeltaIO:
             assert deltas_bitwise_equal(delta, loaded)
             save_delta(loaded, second)
             assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+    def test_layer_read_and_written_in_slabs_round_trips_bytes(self, tmp_path, monkeypatch):
+        """A delta file's layer has a ``part``, so re-saving a loaded delta
+        reads and writes it a slab at a time: two slabs and a ragged tail."""
+        monkeypatch.setattr(container, "_SLAB", 2 * merging._CHUNK)
+        rng = np.random.default_rng(16)
+        first, second = str(tmp_path / "a.tnsr"), str(tmp_path / "b.tnsr")
+        save_delta(
+            DeltaMap.from_arrays(
+                {
+                    "big": rng.standard_normal((515, 600)).astype(np.float32),
+                    "small": rng.standard_normal((3, 4)).astype(np.float32),
+                },
+                label="de",
+            ),
+            first,
+        )
+        save_delta(load_delta(first), second)
+        assert Path(first).read_bytes() == Path(second).read_bytes()
 
 
 class TestLoadAsDelta:

@@ -33,7 +33,7 @@ from loramerge import (
     save_delta,
     write_tensors,
 )
-from loramerge import merging
+from loramerge import container, merging
 from loramerge.cli import run
 from conftest import (
     deltas_bitwise_equal,
@@ -220,9 +220,17 @@ def _huge_delta_files(tmp_path):
     return paths
 
 
-def _run_child(argv, **kwargs):
+def _run_child(argv, slab=None, **kwargs):
+    """``python -m loramerge *argv``; with ``slab``, ``container._SLAB`` is
+    set to it first."""
+    command = ["-m", "loramerge"]
+    if slab is not None:
+        command = [
+            "-c",
+            f"from loramerge import cli, container; container._SLAB = {slab}; cli.main()",
+        ]
     return subprocess.run(
-        [sys.executable, "-m", "loramerge", *argv], capture_output=True, text=True, **kwargs
+        [sys.executable, *command, *argv], capture_output=True, text=True, **kwargs
     )
 
 
@@ -631,6 +639,23 @@ class TestStreamedMergeMemory:
         # 6 models against 2: holding each model's layer would add four layers
         assert peaks[6] - peaks[2] < 2 * 4 * math.prod(self.WIDE), peaks
 
+    def test_untrimmed_peak_does_not_grow_with_layer_size(self, tmp_path, monkeypatch):
+        """An untrimmed DARE+TIES layer read from delta files is merged and
+        written a slab at a time, so a layer four times larger adds less
+        than one slab to the peak, where holding it would add three layers."""
+        monkeypatch.setattr(merging, "_WORKERS", 1)  # see the layer-count test
+        monkeypatch.setattr(container, "_SLAB", 2 * merging._CHUNK)
+        config = _write_config(
+            tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=3
+        )
+        peaks = {}
+        for rows in (64, 256):  # 1 and 4 MB layers, of 2 and 8 slabs
+            (tmp_path / str(rows)).mkdir()
+            paths = _delta_files(tmp_path / str(rows), 1, (rows, 4096))
+            out = str(tmp_path / f"{rows}.out")
+            peaks[rows] = self._peak(["merge", "--config", config, "--out", out, *paths])
+        assert peaks[256] - peaks[64] < 4 * container._SLAB, peaks
+
     @pytest.mark.parametrize("flag", [[], ["--per-layer"]], ids=["flat", "per-layer"])
     def test_per_layer_similarity_peak_does_not_grow_with_layer_count(self, inputs, flag):
         tmp_path, sets = inputs
@@ -672,12 +697,22 @@ def test_each_layer_is_merged_once(tmp_path, monkeypatch, refactor):
     assert len(calls) == 3
 
 
-@pytest.mark.parametrize("refactor", [[], ["--refactor-rank", "2"]], ids=["delta", "adapter"])
-def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refactor):
+@pytest.mark.parametrize(
+    "refactor, density",
+    [
+        ([], 0.5),
+        (["--refactor-rank", "2"], 0.5),
+        ([], 1.0),
+        (["--refactor-rank", "2"], 1.0),
+    ],
+    ids=["delta", "adapter", "delta-untrimmed", "adapter-untrimmed"],
+)
+def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refactor, density):
     """Layers ``a`` < ``a.b`` are merged and written in that order, although
     ``a.b.delta`` sorts before ``a.delta`` (and ``a.b.lora_A`` before
     ``a.lora_A``): each tensor goes to its own offset, so the file equals
-    the one written from the whole merged map."""
+    the one written from the whole merged map.  Untrimmed, a delta output's
+    layers are written a slab at a time."""
     rng = np.random.default_rng(89)
     deltas = [
         DeltaMap.from_arrays(
@@ -690,15 +725,41 @@ def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refacto
     for delta in deltas:
         paths.append(str(tmp_path / f"{delta.label}.tnsr"))
         save_delta(delta, paths[-1])
-    config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+    config = _write_config(
+        tmp_path / "cfg.json", ["DARE", "TIES"], density=density, drop_rate=0.5, seed=1
+    )
     out = str(tmp_path / "merged.tnsr")
     assert run(["merge", "--config", config, *refactor, "--out", out, *paths]) == 0
-    merged = merge(deltas, MergeConfig(("DARE", "TIES"), density=0.5, seed=1))
+    merged = merge(deltas, MergeConfig(("DARE", "TIES"), density, drop_rate=0.5, seed=1))
     expected = str(tmp_path / "expected.tnsr")
     if refactor:
         save_adapter(refactor_to_adapter(merged, 2), expected)
     else:
         save_delta(merged, expected)
+    with open(out, "rb") as got, open(expected, "rb") as want:
+        assert got.read() == want.read()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_layer_written_in_slabs_equals_the_library_merge(tmp_path, monkeypatch, workers):
+    """An untrimmed DARE+TIES layer of two slabs and a ragged tail, written
+    a slab at a time from the delta files, has the bytes of the whole
+    merged layer."""
+    monkeypatch.setattr(container, "_SLAB", 2 * merging._CHUNK)
+    monkeypatch.setattr(merging, "_WORKERS", workers)
+    shape = (515, 600)  # 309000 entries: slabs of 131072 and a tail of 46856
+    paths = _delta_files(tmp_path, layers=2, shape=shape)
+    config = _write_config(
+        tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=7
+    )
+    out = str(tmp_path / "merged.tnsr")
+    assert run(["merge", "--config", config, "--out", out, *paths]) == 0
+    merged = merge(
+        [load_delta(path) for path in paths],
+        MergeConfig(("DARE", "TIES"), 1.0, drop_rate=0.5, seed=7),
+    )
+    expected = str(tmp_path / "expected.tnsr")
+    save_delta(merged, expected)
     with open(out, "rb") as got, open(expected, "rb") as want:
         assert got.read() == want.read()
 
@@ -731,22 +792,44 @@ class TestAtomicOut:
         assert sorted(os.listdir(tmp_path)) == ["cfg.json", "de.tnsr", "en.tnsr", "fr.tnsr"]
 
     @pytest.mark.parametrize(
-        "pipeline",
-        [["TIES"], ["DARE", "TIES"], ["KNOTS", "TIES"], ["DARE", "KNOTS", "TIES"]],
-        ids=["ties", "dare-ties", "knots-ties", "dare-knots-ties"],
+        "pipeline, density",
+        [
+            (["TIES"], 0.5),
+            (["DARE", "TIES"], 0.5),
+            (["KNOTS", "TIES"], 0.5),
+            (["DARE", "KNOTS", "TIES"], 0.5),
+            (["TIES"], 1.0),
+            (["DARE", "TIES"], 1.0),
+            (["KNOTS", "TIES"], 1.0),
+            (["DARE", "KNOTS", "TIES"], 1.0),
+        ],
+        ids=[
+            "ties",
+            "dare-ties",
+            "knots-ties",
+            "dare-knots-ties",
+            "ties-untrimmed",
+            "dare-ties-untrimmed",
+            "knots-ties-untrimmed",
+            "dare-knots-ties-untrimmed",
+        ],
     )
-    def test_non_finite_last_layer_fails_after_earlier_layers(self, tmp_path, pipeline):
+    def test_non_finite_last_layer_fails_after_earlier_layers(self, tmp_path, pipeline, density):
         """A delta file's layer is checked when it is read, after the earlier
         layers have been merged and written to the temporary file: the run
         still prints one line and leaves no file, and an existing ``--out``
-        keeps its bytes."""
-        paths = _delta_files(tmp_path, layers=4, shape=(40, 30))
+        keeps its bytes.  The bad entry is in the last slab of its layer, so
+        an untrimmed merge without KnOTS has written that layer's first slab
+        too."""
+        shape = (300, 500)  # 150000 entries: a slab and a tail of 18928
+        paths = _delta_files(tmp_path, layers=4, shape=shape)
         header = read_header(paths[-1])
         with open(paths[-1], "r+b") as fh:
             (header_len,) = struct.unpack("<Q", fh.read(8))
             fh.seek(8 + header_len + header["l3.delta"]["data_offsets"][1] - 4)
             fh.write(np.float32(np.nan).tobytes())
-        config = _write_config(tmp_path / "cfg.json", pipeline, seed=1)
+        extra = {"drop_rate": 0.5} if "DARE" in pipeline else {}
+        config = _write_config(tmp_path / "cfg.json", pipeline, density=density, seed=1, **extra)
         out = str(tmp_path / "merged.tnsr")
         line = f"error[data]: {paths[-1]}: tensor 'l3.delta' contains non-finite values\n"
         for old in (None, b"old bytes"):
@@ -754,7 +837,9 @@ class TestAtomicOut:
                 with open(out, "wb") as fh:
                     fh.write(old)
             before = sorted(os.listdir(tmp_path))
-            result = _run_child(["merge", "--config", config, "--out", out, *paths])
+            result = _run_child(
+                ["merge", "--config", config, "--out", out, *paths], slab=2 * merging._CHUNK
+            )
             assert (result.returncode, result.stderr) == (1, line)
             assert sorted(os.listdir(tmp_path)) == before
             if old is not None:
@@ -762,28 +847,31 @@ class TestAtomicOut:
                     assert fh.read() == old
 
     @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
-    def test_write_failing_midway_leaves_no_file(self, tmp_path):
+    @pytest.mark.parametrize("density", [0.5, 1.0], ids=["trimmed", "untrimmed"])
+    def test_write_failing_midway_leaves_no_file(self, tmp_path, density):
+        """The 1.2 MB output fails at 768 KB with EFBIG (Python ignores
+        SIGXFSZ): untrimmed, after its first 512 KB slab has been written."""
         rng = np.random.default_rng(83)
         paths = []
         for label in ("en", "de", "fr"):
             delta = DeltaMap.from_arrays(
-                {"w": rng.standard_normal((256, 256)).astype(np.float32)}, label=label
+                {"w": rng.standard_normal((512, 600)).astype(np.float32)}, label=label
             )
             paths.append(str(tmp_path / f"{label}.tnsr"))
             save_delta(delta, paths[-1])
-        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
+        config = _write_config(
+            tmp_path / "cfg.json", ["DARE", "TIES"], density=density, drop_rate=0.5, seed=1
+        )
         before = sorted(os.listdir(tmp_path))
         out = str(tmp_path / "merged.tnsr")
 
         def limit_file_size():
-            # the 256 KB output fails at 64 KB with EFBIG (Python ignores SIGXFSZ)
-            resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 16, 1 << 16))
+            resource.setrlimit(resource.RLIMIT_FSIZE, (3 << 18, 3 << 18))
 
-        result = subprocess.run(
-            [sys.executable, "-m", "loramerge", "merge", "--config", config, "--out", out, *paths],
+        result = _run_child(
+            ["merge", "--config", config, "--out", out, *paths],
+            slab=2 * merging._CHUNK,
             preexec_fn=limit_file_size,
-            capture_output=True,
-            text=True,
         )
         assert result.returncode == 2
         assert result.stderr.splitlines() == [

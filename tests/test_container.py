@@ -17,6 +17,7 @@ from loramerge import (
     read_tensors,
     write_tensors,
 )
+from loramerge import container, merging
 from loramerge.adapters import PendingBlock
 from loramerge.container import TensorFile
 from loramerge.errors import ParameterError
@@ -208,6 +209,53 @@ def test_write_checks_array_likes_that_are_not_blocks(tmp_path):
     assert os.listdir(tmp_path) == []
     write_tensors(path, {"a": _Frame(np.array([[1.0, 2.0]]))}, None)
     assert read_tensors(path)[0]["a"].tolist() == [[1.0, 2.0]]
+
+
+def test_slab_is_a_whole_number_of_merge_chunks():
+    # a slab of a merged layer starts on a chunk, so on a Philox boundary
+    assert container._SLAB % merging._CHUNK == 0
+
+
+class TestSlabs:
+    """A block with a ``part`` is formed and written ``_SLAB`` entries at a
+    time, each slab at its offset, in order."""
+
+    SHAPE = (5, 7)  # 35 entries: slabs of 8 and a ragged tail of 3
+
+    @pytest.fixture(autouse=True)
+    def small_slab(self, monkeypatch):
+        monkeypatch.setattr(container, "_SLAB", 8)
+
+    def _block(self, part):
+        values = np.arange(math.prod(self.SHAPE), dtype=np.float32)
+        return PendingBlock("w", self.SHAPE, lambda: values.reshape(self.SHAPE), part(values))
+
+    def test_slabs_give_the_whole_write_bytes(self, tmp_path):
+        asked = []
+
+        def part(values):
+            return lambda start, stop: asked.append((start, stop)) or values[start:stop]
+
+        block = self._block(part)
+        write_tensors(str(tmp_path / "slabs.tnsr"), {"w": block, "a": np.ones((2, 2))})
+        write_tensors(str(tmp_path / "whole.tnsr"), {"w": block.values, "a": np.ones((2, 2))})
+        assert asked == [(0, 8), (8, 16), (16, 24), (24, 32), (32, 35)]
+        assert (tmp_path / "slabs.tnsr").read_bytes() == (tmp_path / "whole.tnsr").read_bytes()
+
+    @pytest.mark.parametrize("cut", [1, -1], ids=["short", "long"])
+    def test_slab_of_the_wrong_length_is_format_error(self, tmp_path, cut):
+        def part(values):
+            padded = np.concatenate([values, values])
+            return lambda start, stop: padded[start : stop - cut if stop == 35 else stop]
+
+        path = str(tmp_path / "w.tnsr")
+        with pytest.raises(FormatError) as info:
+            write_tensors(path, {"w": self._block(part)})
+        shape = (35 - cut - 32,)
+        assert str(info.value) == (
+            f"tensor 'w' gives {shape} for entries [32, 35), its block says (5, 7)"
+        )
+        assert os.listdir(tmp_path) == []
 
 
 def test_missing_file_is_storage_error(tmp_path):
