@@ -47,11 +47,11 @@ def reduction_pct(baseline: float, value: float) -> float:
 
 def lpt_makespan(hours: Iterable[float], slots: int) -> float:
     """Makespan of greedy longest-processing-time-first on ``slots`` machines."""
+    if not is_integer(slots) or slots < 1:
+        raise ParameterError(f"parallel slots must be a positive integer, got {slots!r}")
     jobs = sorted((float(h) for h in hours), reverse=True)
     if not jobs:
         return 0.0
-    if slots < 1:
-        raise ParameterError(f"parallel slots must be >= 1, got {slots}")
     loads = [0.0] * min(slots, len(jobs))
     heapq.heapify(loads)
     for job in jobs:

@@ -16,10 +16,11 @@ pruned, run through KnOTS and TIES, and the merged layer is done before the
 next layer is touched.  A model's layer enters a merge only as a chunk
 source (:func:`_source`): a delta file's layer is read a range at a time,
 any other is formed once and sliced, and DARE prunes each chunk as it is
-read.  Only KnOTS and the TIES trim need a model's whole layer.  Where they
-do, a model's pruned layer is a pending block, filled from its source
-(:func:`_gather`) only when KnOTS or the trim takes it, so one model's
-layer is formed at a time.  Where neither does (no KnOTS, and a density
+read.  Only KnOTS and the TIES trim need a model's whole layer; each forms
+it from its source in a fresh buffer (:func:`_whole`) when it takes it, so
+one model's layer is formed at a time, and the trim zeroes its input in
+place.  KnOTS without DARE takes the models' blocks, so adapter layers keep
+the factored SVD.  Where neither does (no KnOTS, and a density
 that keeps every entry), no model's layer is formed whole: DARE, the sign
 election and the disjoint mean are entrywise, so each chunk step takes its
 chunk of every model's source and merges it.  :func:`lazy_merge` leaves
@@ -47,7 +48,7 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -203,8 +204,8 @@ def _trim_count(density: float, size: int) -> int:
 
 
 def _trim_values(values: np.ndarray, keep: int) -> np.ndarray:
-    """``values`` with all but its ``keep`` largest magnitudes set to +0.0;
-    the layer itself when ``keep`` covers it."""
+    """Set all but the ``keep`` largest magnitudes of ``values``, a writable
+    C-contiguous array the caller owns, to +0.0 in place; returns ``values``."""
     flat = values.ravel()
     if keep >= flat.size:
         return values
@@ -218,21 +219,19 @@ def _trim_values(values: np.ndarray, keep: int) -> np.ndarray:
     mask[ties[: keep - np.count_nonzero(mask)]] = True
     # a dropped entry's bits are multiplied by 0, which makes it +0.0 whatever
     # its sign, without np.where's per-entry branch on the mask
-    out = flat.copy()
-    bits = out.view(np.uint32)
+    bits = flat.view(np.uint32)
     bits *= mask
-    return out.reshape(values.shape)
+    return values
 
 
 def trim(delta: DeltaMap, density: float) -> DeltaMap:
     """Keep the ceil(density * n) largest-magnitude entries per tensor."""
     density = MergeConfig(density=density).density
-    layers = {
-        layer: TensorBlock(
-            block.name, _trim_values(block.values, _trim_count(density, math.prod(block.shape)))
-        )
-        for layer, block in delta.layers.items()
-    }
+    layers = {}
+    for layer, block in delta.layers.items():
+        values = _whole(block, delta.label, layer, 0.0, 0)
+        keep = _trim_count(density, values.size)
+        layers[layer] = TensorBlock(block.name, _trim_values(values, keep))
     return DeltaMap(layers, delta.label)
 
 
@@ -305,7 +304,8 @@ def _dare_chunk(
 _ChunkSource = Callable[[int, int], np.ndarray]  # (start, stop) -> flat float32 entries
 
 
-def _slices(flat: np.ndarray) -> _ChunkSource:
+def _slices(values: np.ndarray) -> _ChunkSource:
+    flat = values.ravel()
     return lambda start, stop: flat[start:stop]
 
 
@@ -321,7 +321,7 @@ def _source(
     if isinstance(block, PendingBlock) and block.part is not None:
         read = block.part
     else:
-        read = _slices(block.values.ravel())
+        read = _slices(block.values)
     if drop_rate == 0.0:
         return read
     return lambda start, stop: _dare_chunk(read(start, stop), label, layer, start, drop_rate, seed)
@@ -340,6 +340,11 @@ def _gather(source: _ChunkSource, shape: tuple[int, ...], start: int = 0) -> np.
     return out.reshape(shape)
 
 
+def _whole(block: CheckedBlock, label: str, layer: str, drop_rate: float, seed: int) -> np.ndarray:
+    """The layer :func:`_source` gives, whole, in a fresh writable array the caller owns."""
+    return _gather(_source(block, label, layer, drop_rate, seed), block.shape)
+
+
 def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     """Zero entries independently with probability ``drop_rate`` and rescale
     survivors by ``1 / (1 - drop_rate)``.
@@ -351,9 +356,7 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     if drop_rate == 0.0:
         return DeltaMap(dict(delta.layers), delta.label)
     layers = {
-        layer: TensorBlock(
-            b.name, _gather(_source(b, delta.label, layer, drop_rate, seed), b.shape)
-        )
+        layer: TensorBlock(b.name, _whole(b, delta.label, layer, drop_rate, seed))
         for layer, b in delta.layers.items()
     }
     return DeltaMap(layers, delta.label)
@@ -393,17 +396,6 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     return np.divide(numer, denom, out=term).astype(np.float32)
 
 
-def _trimmed(values: Iterable[np.ndarray], keep: int) -> list[_ChunkSource]:
-    """Each model's layer trimmed to ``keep`` entries, as a chunk source.
-
-    The trim needs the whole layer's threshold, so it runs serially, one
-    model at a time: a model's untrimmed layer can be freed once its trimmed
-    copy exists.  Trimming models on parallel workers held a float64 product
-    and the trim's scratch per worker: ``ties-adapters`` peak RSS +7.9 MB.
-    """
-    return [_slices(_trim_values(v, keep).ravel()) for v in values]
-
-
 def _ties_layer(
     sources: Sequence[_ChunkSource],
     shape: tuple[int, ...],
@@ -415,10 +407,10 @@ def _ties_layer(
 
     Election and the disjoint mean are entrywise, so the layer is gathered
     (:func:`_gather`) chunk by chunk; each chunk is taken from every model's
-    source in model order.  A source holds a trimmed layer (:func:`_trimmed`)
-    or, where no trim or KnOTS needs the whole layer, reads and prunes each
-    chunk when it is asked for (:func:`_source`), so that no model's layer
-    is formed for the merge.
+    source in model order.  A source slices a trimmed layer or, where no
+    trim or KnOTS needs the whole layer, reads and prunes each chunk when it
+    is asked for (:func:`_source`), so that no model's layer is formed for
+    the merge.
     """
 
     def merged(begin: int, stop: int) -> np.ndarray:
@@ -542,8 +534,8 @@ def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     """Run the configured pipeline and label the result with its summary.
 
     This is :func:`lazy_merge` with each layer formed once, in name order:
-    besides the output, only the current layer's input, pruned and trimmed
-    copies are held (inputs read from files are read then).
+    besides the output, only the current layer's inputs and the buffers the
+    merge forms from them are held (inputs read from files are read then).
     """
     merged = lazy_merge(deltas, config)
     return DeltaMap({layer: block.make() for layer, block in merged.layers.items()}, merged.label)
@@ -569,13 +561,6 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         raise ParameterError("KnOTS needs at least two input models")
     drop_rate = config.effective_drop_rate if "DARE" in config.pipeline else 0.0
 
-    def pruned(block: CheckedBlock, label: str, layer: str) -> PendingBlock:
-        return PendingBlock(
-            layer,
-            block.shape,
-            lambda: _gather(_source(block, label, layer, drop_rate, config.seed), block.shape),
-        )
-
     def streamed(layer: str) -> bool:
         size = math.prod(deltas[0].layers[layer].shape)
         return not knots and _trim_count(config.density, size) >= size
@@ -598,19 +583,33 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
             # nothing needs a whole layer: each chunk step reads and prunes
             # its chunk of every model
             return TensorBlock(layer, _ties_layer(sources(layer), shape, w))
-        # a model's layer is read, densified and pruned when the next step takes it
-        if drop_rate > 0.0:
-            models = [pruned(b, d.label, layer) for d, b in zip(deltas, models)]
         if not knots:
+            # the trim needs the whole layer's threshold, so it runs serially, one
+            # model at a time: trimming models on parallel workers held a float64
+            # product and the trim's scratch per worker (``ties-adapters`` +7.9 MB RSS)
             keep = _trim_count(config.density, math.prod(shape))
-            trimmed = _trimmed((b.values for b in models), keep)
+            trimmed = [
+                _slices(_trim_values(_whole(b, d.label, layer, drop_rate, config.seed), keep))
+                for d, b in zip(deltas, models)
+            ]
             return TensorBlock(layer, _ties_layer(trimmed, shape, w))
         # TIES on the task parts in the shared basis, as knots_merge describes;
-        # the trim counts against the dense parts' size
+        # the trim counts against the dense parts' size.  With DARE, a model's
+        # layer is read, densified and pruned when the SVD takes it
+        if drop_rate > 0.0:
+            models = [
+                PendingBlock(
+                    layer,
+                    shape,
+                    functools.partial(_whole, b, d.label, layer, drop_rate, config.seed),
+                )
+                for d, b in zip(deltas, models)
+            ]
         d_out, d_in = shape
         u, _, parts = _concat_svd(layer, models)
         keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
-        product = LowRankBlock(layer, u, _ties_layer(_trimmed(parts, keep), parts[0].shape, w))
+        trimmed = [_slices(_trim_values(p, keep)) for p in parts]
+        product = LowRankBlock(layer, u, _ties_layer(trimmed, parts[0].shape, w))
         return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
     def ranged(layer: str) -> bool:

@@ -106,6 +106,13 @@ class TestMakespan:
         with pytest.raises(ParameterError):
             lpt_makespan([1.0], 0)
 
+    @pytest.mark.parametrize("hours", [[], [1.0, 2.0]], ids=["no-jobs", "jobs"])
+    @pytest.mark.parametrize("slots", [0, -1, 1.5, 2.0, True])
+    def test_slots_are_checked_before_the_jobs(self, hours, slots):
+        # CostScenario.parallel_slots's rule: an int, not a bool, at least 1
+        with pytest.raises(ParameterError):
+            lpt_makespan(hours, slots)
+
 
 class TestScenario:
     def test_json_round_trip(self):

@@ -93,7 +93,7 @@ class TestKnotsMerge:
         w = np.asarray(weights, dtype=np.float64)
         for layer in shapes:
             u, _, parts = factors[layer]
-            trimmed = [_trim_values(p, _trim_count(0.5, p.size)) for p in parts]
+            trimmed = [_trim_values(p.copy(), _trim_count(0.5, p.size)) for p in parts]
             signs = _elect(trimmed, w)
             merged = _disjoint(trimmed, signs, w)
             expected = (u.astype(np.float64) @ merged.astype(np.float64)).astype(np.float32)
@@ -115,7 +115,7 @@ class TestKnotsMerge:
         concat = np.hstack([a.astype(np.float64) for a in arrays])
         u, s, vt = np.linalg.svd(concat, full_matrices=False)
         parts = [p.astype(np.float32) for p in np.hsplit(s[:, None] * vt, 3)]
-        trimmed = [_trim_values(p, _trim_count(0.5, p.size)) for p in parts]
+        trimmed = [_trim_values(p.copy(), _trim_count(0.5, p.size)) for p in parts]
         signs = _elect(trimmed, np.ones(3))
         merged = _disjoint(trimmed, signs, np.ones(3))
         expected = (u.astype(np.float32).astype(np.float64) @ merged.astype(np.float64)).astype(
@@ -180,7 +180,7 @@ class TestFactoredRoute:
         keep = math.ceil(0.05 * 512 * 512)
         assert keep < 80 * 512
         _, _, parts = knots_transform(lazy)["layer0"]
-        trimmed = _trim_values(parts[0], keep)
+        trimmed = _trim_values(parts[0].copy(), keep)
         assert np.count_nonzero(trimmed) == keep
 
     def test_refactor_reaches_the_eckart_young_optimum(self, factored_set):
@@ -212,7 +212,7 @@ class TestDenseRoute:
             u, s, vt = np.linalg.svd(concat, full_matrices=False)
             parts = [p.astype(np.float32) for p in np.hsplit(s[:, None] * vt, 3)]
             w = np.asarray(weights)
-            trimmed = [_trim_values(p, _trim_count(density, p.size)) for p in parts]
+            trimmed = [_trim_values(p.copy(), _trim_count(density, p.size)) for p in parts]
             merged = _disjoint(trimmed, _elect(trimmed, w), w)
             expected = (
                 u.astype(np.float32).astype(np.float64) @ merged.astype(np.float64)

@@ -28,7 +28,7 @@ from loramerge import (
     trim,
 )
 from loramerge import container, merging
-from loramerge.adapters import LowRankBlock
+from loramerge.adapters import LowRankBlock, PendingBlock
 from loramerge.merging import _disjoint, _trim_count, _trim_values
 from loramerge.rng import uniform_stream
 from conftest import (
@@ -220,7 +220,7 @@ class TestTrim:
                 mask = np.zeros(flat.size, dtype=bool)
                 mask[order[: _trim_count(density, flat.size)]] = True
                 expected = np.where(mask, flat, np.float32(0.0)).reshape(shape)
-                out = _trim_values(values, _trim_count(density, flat.size))
+                out = _trim_values(values.copy(), _trim_count(density, flat.size))
                 assert out.tobytes() == expected.tobytes(), (kind, density)
                 assert out.shape == shape, (kind, density)
 
@@ -250,7 +250,9 @@ class TestTrim:
             for density in (0.1, 0.5, 0.9):
                 keep = _trim_count(density, values.size)
                 expected, kept = self._where_trim(values, keep)
-                out = _trim_values(values, keep)
+                arg = values.copy()
+                out = _trim_values(arg, keep)
+                assert out is arg, (kind, density)
                 assert out.tobytes() == expected.tobytes(), (kind, density)
                 dropped = out.ravel()[~kept]
                 assert (dropped == 0).all(), (kind, density)
@@ -675,7 +677,7 @@ class TestChunkBoundaries:
                 ).astype(np.float32)
                 for d, v in zip(deltas, values)
             ]
-        trimmed = [_trim_values(v, _trim_count(config.density, v.size)) for v in values]
+        trimmed = [_trim_values(v.copy(), _trim_count(config.density, v.size)) for v in values]
         total = np.zeros(trimmed[0].shape)
         for w, v in zip(weights, trimmed):
             total += v.astype(np.float64) * w
@@ -749,12 +751,14 @@ class TestChunkBoundaries:
 
 
 @pytest.mark.parametrize(
-    "pipeline", [("DARE", "TIES"), ("DARE", "KNOTS", "TIES")], ids=["dare-ties", "dare-knots-ties"]
+    "pipeline",
+    [("TIES",), ("DARE", "TIES"), ("DARE", "KNOTS", "TIES")],
+    ids=["ties", "dare-ties", "dare-knots-ties"],
 )
 def test_pruned_file_layer_is_filled_from_ranged_reads(tmp_path, monkeypatch, pipeline):
-    """Where the trim or KnOTS takes a model's whole DARE-pruned layer, a
-    delta file's layer is still filled from ranged reads, never read whole
-    first, and gives the bytes of the in-memory merge."""
+    """Where the trim or KnOTS takes a model's whole layer, DARE-pruned or
+    not, a delta file's layer is still filled from ranged reads, never read
+    whole first, and gives the bytes of the in-memory merge."""
     deltas = TestChunkBoundaries._deltas()
     config = MergeConfig(pipeline, density=0.5, seed=11)
     expected = merge(deltas, config)
@@ -768,6 +772,32 @@ def test_pruned_file_layer_is_filled_from_ranged_reads(tmp_path, monkeypatch, pi
     monkeypatch.setattr(container.TensorFile, "read", whole_read)
     out = merge([load_delta(path) for path in paths], config)
     assert deltas_bitwise_equal(out, expected)
+
+
+@pytest.mark.parametrize("source", ["arrays", "pending"])
+@pytest.mark.parametrize(
+    "pipeline",
+    [("TIES",), ("DARE", "TIES"), ("KNOTS", "TIES")],
+    ids=["ties", "dare-ties", "knots-ties"],
+)
+def test_merge_never_writes_its_inputs(source, pipeline):
+    """The trim zeroes in place only the layers the merge formed itself: the
+    models' own arrays, held by a TensorBlock or returned writable by a
+    pending block's ``make``, keep their bytes."""
+    rng = np.random.default_rng(4411)
+    arrays = [rng.standard_normal(TestChunkBoundaries.SHAPE).astype(np.float32) for _ in range(3)]
+    before = [a.tobytes() for a in arrays]
+    labels = ("en", "de", "fr")
+    if source == "arrays":
+        deltas = [DeltaMap.from_arrays({"w": a}, label=l) for a, l in zip(arrays, labels)]
+    else:
+        deltas = [
+            DeltaMap({"w": PendingBlock("w", a.shape, lambda a=a: a)}, label=l)
+            for a, l in zip(arrays, labels)
+        ]
+        assert all(a.flags.writeable for a in arrays)
+    merge(deltas, MergeConfig(pipeline, density=0.5, seed=11))
+    assert [a.tobytes() for a in arrays] == before
 
 
 @pytest.fixture
