@@ -134,17 +134,22 @@ class LowRankBlock(container.CheckedBlock):
 
     @property
     def values(self) -> np.ndarray:
+        product = self._dense()
+        product.setflags(write=False)
+        return product
+
+    def _dense(self) -> np.ndarray:
+        """``values`` in a fresh writable array the caller owns."""
         # on one thread: OpenBLAS's idle workers would otherwise spin on the
         # cores the merge's chunk workers need, and its split of a large
         # product changes the float64 rounding with the thread count
         with one_thread():
             product = self.left.astype(np.float64) @ self.right.astype(np.float64)
-        product *= self.scale
+        if self.scale != 1.0:  # x * 1.0 is x: skip the pass
+            product *= self.scale
         # finite: construction proved it, or formed it and rejected an inf
         with np.errstate(over="ignore"):
-            product = product.astype(np.float32)
-        product.setflags(write=False)
-        return product
+            return product.astype(np.float32)
 
 
 def thin_svd(

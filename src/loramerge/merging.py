@@ -19,17 +19,18 @@ any other is formed once and sliced, and DARE prunes each chunk as it is
 read.  Only KnOTS and the TIES trim need a model's whole layer; each forms
 it from its source in a fresh buffer (:func:`_whole`) when it takes it, so
 one model's layer is formed at a time, and the trim zeroes its input in
-place.  KnOTS without DARE takes the models' blocks, so adapter layers keep
-the factored SVD.  Where neither does (no KnOTS, and a density
-that keeps every entry), no model's layer is formed whole: DARE, the sign
-election and the disjoint mean are entrywise, so each chunk step takes its
-chunk of every model's source and merges it.  :func:`lazy_merge` leaves
-each merged layer pending until it is read, so writing the result streams
-the merge from the input files to the output file.  Where no model's layer
-is formed and every model's layer is read by range (delta files), a range
-of the merged layer is merged from the same range of every model, so the
-writer forms and writes it a slab at a time and the merged layer is not
-held whole either.
+place.  An adapter's layer that DARE does not prune is densified straight
+into the buffer the trim owns, with no copy.  KnOTS without DARE takes the
+models' blocks, so adapter layers keep the factored SVD.  Where neither
+does (no KnOTS, and a density that keeps every entry), no model's layer is
+formed whole: DARE, the sign election and the disjoint mean are entrywise,
+so each chunk step takes its chunk of every model's source and merges it.
+:func:`lazy_merge` leaves each merged layer pending until it is read, so
+writing the result streams the merge from the input files to the output
+file.  Where no model's layer is formed and every model's layer is read by
+range (delta files), a range of the merged layer is merged from the same
+range of every model, so the writer forms and writes it a slab at a time
+and the merged layer is not held whole either.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -210,8 +211,10 @@ def _trim_values(values: np.ndarray, keep: int) -> np.ndarray:
     if keep >= flat.size:
         return values
     # keep the `keep` largest magnitudes; equal magnitudes keep the lower
-    # flat index, as a stable sort on -|v| would
-    mag = np.abs(flat)
+    # flat index, as a stable sort on -|v| would.  The magnitudes are taken
+    # as bits: a finite float32 with its sign bit cleared orders as its
+    # uint32 pattern does (-0.0 becomes 0), and integers partition faster
+    mag = flat.view(np.uint32) & np.uint32(0x7FFFFFFF)
     kth = flat.size - keep
     threshold = np.partition(mag, kth)[kth]
     mask = mag > threshold
@@ -342,6 +345,9 @@ def _gather(source: _ChunkSource, shape: tuple[int, ...], start: int = 0) -> np.
 
 def _whole(block: CheckedBlock, label: str, layer: str, drop_rate: float, seed: int) -> np.ndarray:
     """The layer :func:`_source` gives, whole, in a fresh writable array the caller owns."""
+    if isinstance(block, LowRankBlock) and drop_rate == 0.0:
+        # densified into a fresh array already: take it rather than copy it
+        return block._dense()
     return _gather(_source(block, label, layer, drop_rate, seed), block.shape)
 
 
@@ -366,8 +372,10 @@ def _elect(values: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
     total = np.zeros(values[0].shape, dtype=np.float64)
     term = np.empty_like(total)
     for w, v in zip(weights, values):
-        term[...] = v
-        term *= w
+        if w == 1.0:  # float64(v) * 1.0 is float64(v): skip the pass
+            total += v
+            continue
+        np.multiply(v, w, out=term, dtype=np.float64)
         total += term
     # two compares instead of np.sign, which branches on every entry
     return np.subtract(total > 0, total < 0, dtype=np.int8)
@@ -379,16 +387,24 @@ def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarr
     term = np.empty(signs.shape, dtype=np.float64)
     unit = signs.astype(np.float32)
     carried = np.empty(signs.shape, dtype=np.float32)
+    bits = carried.view(np.uint32)
     match = np.empty(signs.shape, dtype=bool)
     for w, v in zip(weights, values):
         # v carries the elected sign iff v * sign > 0; a zero never does
         np.multiply(v, unit, out=carried)
         np.greater(carried, 0.0, out=match)
-        term[...] = v
-        term *= w
-        term *= match
+        # v where it carries the sign, else +0.0: the bits are multiplied by
+        # the match, with no per-entry branch on it.  numer starts at +0.0 and
+        # is never -0.0, so adding +0.0 leaves it as it was
+        carried[...] = v
+        bits *= match
+        if w == 1.0:  # float64(v) * 1.0 is float64(v): skip the passes
+            numer += carried
+            denom += match
+            continue
+        np.multiply(carried, w, out=term, dtype=np.float64)
         numer += term
-        np.multiply(match, w, out=term)
+        np.multiply(match, w, out=term, dtype=np.float64)
         denom += term
     # an entry no model matches has numer +0.0 and denom 0; dividing it by 1
     # keeps it +0.0 without a masked divide
@@ -439,18 +455,30 @@ def disjoint_merge(
     signs: dict[str, np.ndarray],
     weights: Sequence[float] | None = None,
 ) -> DeltaMap:
-    """Weighted mean over the models whose value carries the elected sign."""
+    """Weighted mean over the models whose value carries the elected sign.
+
+    ``signs`` maps each layer to an array-like of the layer's shape whose
+    entries are -1, 0 or 1, as :func:`elect_sign` gives them.
+    """
     names = _aligned_layers(trimmed)
     if sorted(signs) != names:
         raise AlignmentError("sign map layers do not match the inputs")
+    maps = {}
     for layer in names:
-        a, b = np.shape(signs[layer]), trimmed[0].layers[layer].shape
+        try:
+            sign = np.asarray(signs[layer])
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"sign map of layer {layer!r} is not an array: {exc}") from None
+        a, b = sign.shape, trimmed[0].layers[layer].shape
         if a != b:
             raise AlignmentError(f"layer {layer!r} shapes differ: sign map {a} vs inputs {b}")
+        if sign.dtype.kind not in "biuf" or not np.isin(sign, (-1, 0, 1)).all():
+            raise ParameterError(f"sign map of layer {layer!r} must hold only -1, 0 and 1")
+        maps[layer] = sign
     w = MergeConfig(weights=weights).weight_vector(len(trimmed))
     layers = {
         layer: TensorBlock(
-            layer, _disjoint([d.layers[layer].values for d in trimmed], signs[layer], w)
+            layer, _disjoint([d.layers[layer].values for d in trimmed], maps[layer], w)
         )
         for layer in names
     }

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import math
 import sys
@@ -29,7 +30,7 @@ from loramerge import (
 )
 from loramerge import container, merging
 from loramerge.adapters import LowRankBlock, PendingBlock
-from loramerge.merging import _disjoint, _trim_count, _trim_values
+from loramerge.merging import _disjoint, _elect, _trim_count, _trim_values
 from loramerge.rng import uniform_stream
 from conftest import (
     deltas_bitwise_equal,
@@ -53,6 +54,41 @@ def _column_deltas(rows, labels=None):
         DeltaMap.from_arrays({"l": np.array([[v]], dtype=np.float32)}, label=labels[i])
         for i, v in enumerate(rows)
     ]
+
+
+def _plain_elect(values, weights):
+    """The sign election with a multiply by every weight, kept as the byte
+    reference for the kernel that skips the multiply at weight 1.0."""
+    total = np.zeros(values[0].shape, dtype=np.float64)
+    term = np.empty_like(total)
+    for w, v in zip(weights, values):
+        term[...] = v
+        term *= w
+        total += term
+    return np.subtract(total > 0, total < 0, dtype=np.int8)
+
+
+def _plain_disjoint(values, signs, weights):
+    """The disjoint mean with a multiply by every weight and by the match,
+    kept as the byte reference for the kernel that zeroes the bits of the
+    entries that do not carry the sign and skips the multiply at weight 1.0."""
+    numer = np.zeros(signs.shape, dtype=np.float64)
+    denom = np.zeros(signs.shape, dtype=np.float64)
+    term = np.empty(signs.shape, dtype=np.float64)
+    unit = signs.astype(np.float32)
+    carried = np.empty(signs.shape, dtype=np.float32)
+    match = np.empty(signs.shape, dtype=bool)
+    for w, v in zip(weights, values):
+        np.multiply(v, unit, out=carried)
+        np.greater(carried, 0.0, out=match)
+        term[...] = v
+        term *= w
+        term *= match
+        numer += term
+        np.multiply(match, w, out=term)
+        denom += term
+    denom += denom == 0
+    return np.divide(numer, denom, out=term).astype(np.float32)
 
 
 class TestMergeConfig:
@@ -260,6 +296,141 @@ class TestTrim:
                 # entries with the sign bit set (negatives, or -0.0) were dropped
                 assert np.signbit(values.ravel()[~kept]).any(), (kind, density)
 
+    @staticmethod
+    def _trim_bases():
+        """A whole adapter layer as the merge forms it, and a KnOTS task part
+        from ``_concat_svd``."""
+        rng = np.random.default_rng(26)
+        deltas = [
+            compute_delta(random_adapter(rng, rank=4, dims=[(48, 40)], label=label))
+            for label in ("en", "de", "fr")
+        ]
+        blocks = [delta.layers["layer0"] for delta in deltas]
+        whole = merging._whole(blocks[0], "en", "layer0", 0.0, 0)
+        _, _, parts = merging._concat_svd("layer0", blocks)
+        return {"whole_layer": whole, "knots_part": parts[1]}
+
+    @staticmethod
+    def _hard(base, kind):
+        rng = np.random.default_rng(27)
+        values = base.copy()
+        flat = values.ravel()
+        if kind == "signed_zeros":
+            flat[rng.random(flat.size) < 0.3] = -0.0
+            flat[rng.random(flat.size) < 0.1] = 0.0
+        elif kind == "subnormals":
+            tiny = np.finfo(np.float32).smallest_subnormal
+            picked = rng.random(flat.size) < 0.6
+            steps = rng.integers(-40, 41, size=int(picked.sum())).astype(np.float32)
+            flat[picked] = steps * tiny
+            assert (np.abs(flat[picked & (flat != 0)]) < np.finfo(np.float32).tiny).all()
+        elif kind == "opposite_sign_ties":
+            # a fifth of the entries take the median magnitude with either
+            # sign, so the middle threshold falls inside that run of ties
+            middle = np.float32(np.median(np.abs(flat)))
+            picked = rng.random(flat.size) < 0.2
+            flat[picked] = np.where(rng.random(int(picked.sum())) < 0.5, middle, -middle)
+        else:  # one_magnitude
+            flat[...] = np.where(rng.random(flat.size) < 0.5, 0.375, -0.375)
+        return values
+
+    @pytest.mark.parametrize("base", ["whole_layer", "knots_part"])
+    @pytest.mark.parametrize(
+        "kind", ["signed_zeros", "subnormals", "opposite_sign_ties", "one_magnitude"]
+    )
+    def test_magnitude_bits_key_matches_stable_sort_on_hard_inputs(self, base, kind):
+        """The trim orders magnitudes by their bit patterns; it keeps the
+        entries a stable sort on -|v| keeps, bit for bit."""
+        values = self._hard(self._trim_bases()[base], kind)
+        assert values.dtype == np.float32 and values.flags.c_contiguous
+        flat = values.ravel()
+        order = np.argsort(-np.abs(flat), kind="stable")
+        for keep in (1, flat.size // 2, flat.size - 1):
+            mask = np.zeros(flat.size, dtype=bool)
+            mask[order[:keep]] = True
+            expected = np.where(mask, flat, np.float32(0.0)).reshape(values.shape)
+            out = _trim_values(values.copy(), keep)
+            assert out.tobytes() == expected.tobytes(), (base, kind, keep)
+
+
+class TestUnitWeights:
+    """The election and disjoint mean skip the weight multiply at weight 1.0
+    and zero the unmatched entries through their bits; the bytes are those of
+    the plain kernels."""
+
+    @staticmethod
+    def _values():
+        rng = np.random.default_rng(29)
+        values = [rng.standard_normal(3000).astype(np.float32) for _ in range(3)]
+        for m, v in enumerate(values):
+            v[rng.random(v.size) < 0.3] = -0.0
+            v[rng.random(v.size) < 0.1] = 0.0
+            # entries 0 and 1 are zeros of either sign, which carry no sign;
+            # entry 2 is negative or -0.0 in every model
+            v[0] = (0.0, -0.0, 0.0)[m]
+            v[1] = -0.0
+            v[2] = (-1.0, -2.0, -0.0)[m]
+        return values
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (1.0, 2.5, 1.0)], ids=["unit", "mixed"])
+    def test_bytes_equal_plain_kernels(self, weights):
+        values = self._values()
+        w = np.array(weights)
+        signs = _elect(values, w)
+        assert signs.tobytes() == _plain_elect(values, w).tobytes()
+        assert signs[2] == -1
+        # a given sign map may elect a sign no model carries: +1 at entry 2
+        forced = np.random.default_rng(30).integers(-1, 2, size=signs.size).astype(np.int8)
+        forced[:3] = (1, -1, 1)
+        for sign_map, unmatched in ((signs, [0, 1]), (forced, [0, 1, 2])):
+            out = _disjoint(values, sign_map, w)
+            assert out.tobytes() == _plain_disjoint(values, sign_map, w).tobytes()
+            # an entry no model matches comes out +0.0, its sign bit clear
+            assert (out[unmatched] == 0).all()
+            assert not np.signbit(out[unmatched]).any()
+            assert np.count_nonzero(out) > out.size // 4
+
+
+class TestWholeOwnsLowRankLayer:
+    @staticmethod
+    def _block():
+        rng = np.random.default_rng(41)
+        return compute_delta(random_adapter(rng, rank=3, dims=[(20, 16)])).layers["layer0"]
+
+    def test_whole_is_a_fresh_writable_copy_of_values(self):
+        block = self._block()
+        assert isinstance(block, LowRankBlock)
+        first = merging._whole(block, "x", "layer0", 0.0, 0)
+        second = merging._whole(block, "x", "layer0", 0.0, 0)
+        assert first.dtype == np.float32 and first.shape == block.shape
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert first.tobytes() == block.values.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not block.values.flags.writeable
+        before = block.values.tobytes()
+        _trim_values(first, 5)
+        assert np.count_nonzero(first) == 5
+        assert block.values.tobytes() == before
+
+    def test_ties_densifies_each_layer_once(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        deltas = [
+            compute_delta(random_adapter(rng, rank=2, dims=[(12, 10), (9, 14)], label=label))
+            for label in ("en", "de", "fr")
+        ]
+        blocks = [b for d in deltas for b in d.layers.values()]
+        assert all(isinstance(b, LowRankBlock) for b in blocks)
+        calls = collections.Counter()
+        dense = LowRankBlock._dense
+
+        def spy(self):
+            calls[id(self)] += 1
+            return dense(self)
+
+        monkeypatch.setattr(LowRankBlock, "_dense", spy)
+        merge(deltas, MergeConfig(("TIES",), density=0.5))
+        assert calls == {id(b): 1 for b in blocks}
+
 
 class TestDare:
     def test_zero_drop_rate_is_bitwise_identity(self):
@@ -383,6 +554,43 @@ class TestDisjointMerge:
         signs = np.array([1, -1, 1, -1, 0], dtype=np.int8)
         out = _disjoint(values, signs, np.array([1.5, 0.5]))
         assert out.tobytes() == np.zeros(5, np.float32).tobytes()
+
+    def test_list_sign_map_is_converted(self):
+        deltas = [
+            DeltaMap.from_arrays({"w": np.array([[2.0, -1.0]], np.float32)}, label="a"),
+            DeltaMap.from_arrays({"w": np.array([[-3.0, -2.0]], np.float32)}, label="b"),
+        ]
+        out = disjoint_merge(deltas, {"w": [[1, -1]]})
+        expected = disjoint_merge(deltas, {"w": np.array([[1, -1]], np.int8)})
+        assert out.layers["w"].values.tobytes() == expected.layers["w"].values.tobytes()
+        assert out.layers["w"].values.tolist() == [[2.0, -1.5]]
+
+    @pytest.mark.parametrize(
+        "sign_map",
+        [[[1, 0.5]], [[1, -7]], [[1, float("nan")]], [["1", "-1"]], [[1], [1, -1]]],
+        ids=["half", "minus-seven", "nan", "strings", "ragged"],
+    )
+    def test_sign_map_entries_outside_minus_one_zero_one_rejected(self, sign_map):
+        deltas = [
+            DeltaMap.from_arrays({"w": np.array([[2.0, -1.0]], np.float32)}, label=label)
+            for label in ("a", "b")
+        ]
+        with pytest.raises(ParameterError, match="sign map of layer 'w'"):
+            disjoint_merge(deltas, {"w": sign_map})
+
+    def test_elected_int8_map_gives_the_plain_kernel_bytes(self):
+        rng = np.random.default_rng(39)
+        deltas = random_delta_set(rng, 3)
+        weights = (1.0, 2.5, 0.7)
+        signs = elect_sign(deltas, weights)
+        out = disjoint_merge(deltas, signs, weights)
+        as_lists = disjoint_merge(deltas, {k: v.tolist() for k, v in signs.items()}, weights)
+        for layer, sign in signs.items():
+            assert sign.dtype == np.int8
+            values = [d.layers[layer].values for d in deltas]
+            expected = _plain_disjoint(values, sign, np.array(weights))
+            assert out.layers[layer].values.tobytes() == expected.tobytes()
+            assert as_lists.layers[layer].values.tobytes() == expected.tobytes()
 
     def test_sign_consistency_property(self):
         rng = np.random.default_rng(31)
@@ -991,8 +1199,8 @@ def test_ties_peak_memory_trims_one_dense_layer_at_a_time():
         for label in ("en", "de", "fr", "es", "it")
     ]
     layer_bytes = [4 * math.prod(shape) for shape in shapes.values()]
-    # M trimmed copies, one dense layer, and the trim's |v| and partition
-    # copies (or the densify's float64 product), plus the output
+    # M trimmed copies, one dense layer, and the trim's magnitude key and
+    # partition copies (or the densify's float64 product), plus the output
     bound = (len(deltas) + 3) * max(layer_bytes) + sum(layer_bytes)
     tracemalloc.start()
     try:
