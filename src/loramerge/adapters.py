@@ -11,7 +11,7 @@ step needs the dense values.  Every other layer whose values are formed
 late is a :class:`PendingBlock`, formed each time it is read: a delta
 file's layer is read from the file, a DARE-pruned layer is pruned, a
 streamed merge's layer is merged and a refactored adapter's factors are
-taken from the SVD of their layer.
+taken from the SVD of their layer, :func:`concat_svd`, which KnOTS shares.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +47,8 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 @dataclass(frozen=True, eq=False)
 class TensorBlock(container.CheckedBlock):
-    """A named float32 array; the unit of all merging arithmetic."""
+    """A named float32 array; the unit of all merging arithmetic.  A float32
+    C-order array is taken as is, not copied, and frozen (made read-only)."""
 
     name: str
     values: np.ndarray
@@ -82,7 +83,8 @@ class LowRankBlock(container.CheckedBlock):
     ``left`` is d_out x r and ``right`` r x d_in, both float32.  ``values``
     has the ``TensorBlock`` contract, which construction checks; it forms
     the product in float64, rounds it once to float32 and is not cached, so
-    only the layer a step works on is ever held dense.
+    only the layer a step works on is ever held dense.  Like ``TensorBlock``,
+    it takes float32 C-order factors as is, not copied, and freezes them.
     """
 
     name: str
@@ -152,14 +154,30 @@ class LowRankBlock(container.CheckedBlock):
             return product.astype(np.float32)
 
 
-def thin_svd(
-    layer: str, left: np.ndarray, right: np.ndarray | None = None
-) -> tuple[np.ndarray, ...]:
-    """Thin SVD ``(u, s, vt)`` of float64 ``left``, or of ``left @ right``
-    with ``left`` d_out x k, k <= d_out: a QR of ``left`` then reduces the
-    problem to the k-row ``R @ right`` (Halko, Martinsson & Tropp,
-    arXiv:0909.4061).  LAPACK runs on one thread; NumericalError names
-    ``layer`` if it does not converge."""
+def concat_svd(layer: str, blocks: Sequence) -> tuple[np.ndarray, ...]:
+    """Thin float64 SVD ``(u, s, vt)`` of the equal-shape layers ``blocks``
+    (arrays or blocks) side by side.  Low-rank blocks of summed rank below
+    ``min(d_out, M * d_in)`` are not formed: a QR of the stacked left factors
+    reduces the SVD to that many rows (Halko, Martinsson & Tropp,
+    arXiv:0909.4061).  LAPACK runs on one thread; NumericalError names ``layer``."""
+    count = len(blocks)
+    d_out, d_in = blocks[0].shape
+    if all(isinstance(b, LowRankBlock) for b in blocks) and sum(b.rank for b in blocks) < min(
+        d_out, count * d_in
+    ):
+        # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
+        left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
+        right = np.zeros((left.shape[1], count * d_in))
+        row = 0
+        for m, b in enumerate(blocks):
+            tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
+            np.multiply(b.right, b.scale, out=tile, dtype=np.float64)
+            row += b.rank
+    else:
+        # dense: one float32 layer is formed at a time, copied in and let go
+        left, right = np.empty((d_out, count * d_in)), None
+        for m, b in enumerate(blocks):
+            left[:, m * d_in : (m + 1) * d_in] = _values(b)
     try:
         with one_thread():
             if right is None:
@@ -388,9 +406,9 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
 
     Per layer, ``delta ~= (U sqrt(S)) @ (sqrt(S) Vt)`` keeping the top
     ``rank`` singular triplets.  The result uses alpha == rank so its
-    reconstructed delta is plain ``B @ A``.  A low-rank layer whose own rank
-    is below its dimensions (and at least ``rank``) is factored without
-    forming its dense values.  Every layer gives pending factors: its SVD
+    reconstructed delta is plain ``B @ A``.  The SVD is :func:`concat_svd`'s,
+    so a low-rank layer whose rank is in ``[rank, min(shape))`` is factored
+    without forming its dense values.  Every layer gives pending factors: its SVD
     runs, and raises any NumericalError, when a factor is first read or
     written (:func:`_pending_factors`).
     """
@@ -413,11 +431,10 @@ def _factors(
     formed first."""
     if isinstance(block, PendingBlock):
         block = block.make()
-    if isinstance(block, LowRankBlock) and rank <= block.rank < min(block.shape):
-        left, right = block.left.astype(np.float64), block.scale * block.right.astype(np.float64)
-        u, s, vt = thin_svd(layer, left, right)
-    else:
-        u, s, vt = thin_svd(layer, _values(block).astype(np.float64))
+    if isinstance(block, LowRankBlock) and block.rank < rank:
+        # the factored SVD gives only block.rank triplets
+        block = block.values
+    u, s, vt = concat_svd(layer, [block])
     root = np.sqrt(s[:rank])
     b = (u[:, :rank] * root).astype(np.float32)
     a = (root[:, None] * vt[:rank]).astype(np.float32)
@@ -431,16 +448,13 @@ def _pending_factors(
     :func:`_factors`), and the other is held until it is read."""
     held: dict[int, TensorBlock] = {}
 
-    def part(index: int) -> Callable[[], TensorBlock]:
-        def make() -> TensorBlock:
-            if index not in held:
-                held.update(enumerate(_factors(layer, block, rank)))
-            return held.pop(index)
-
-        return make
+    def make(index: int) -> TensorBlock:
+        if index not in held:
+            held.update(enumerate(_factors(layer, block, rank)))
+        return held.pop(index)
 
     d_out, d_in = block.shape
     return (
-        PendingBlock(layer + _A_SUFFIX, (rank, d_in), part(0)),
-        PendingBlock(layer + _B_SUFFIX, (d_out, rank), part(1)),
+        PendingBlock(layer + _A_SUFFIX, (rank, d_in), functools.partial(make, 0)),
+        PendingBlock(layer + _B_SUFFIX, (d_out, rank), functools.partial(make, 1)),
     )

@@ -36,6 +36,8 @@ from .errors import (
 
 def reduction_pct(baseline: float, value: float) -> float:
     """Percentage reduction from ``baseline`` to ``value``: 100 (a-b)/a."""
+    for what, number in (("baseline", baseline), ("value", value)):
+        _require_number(number, f"reduction {what}", ParameterError)
     if baseline > 0:
         return 100.0 * (baseline - value) / baseline
     if baseline == 0 and value == 0:
@@ -49,7 +51,8 @@ def lpt_makespan(hours: Iterable[float], slots: int) -> float:
     """Makespan of greedy longest-processing-time-first on ``slots`` machines."""
     if not is_integer(slots) or slots < 1:
         raise ParameterError(f"parallel slots must be a positive integer, got {slots!r}")
-    jobs = sorted((float(h) for h in hours), reverse=True)
+    jobs = [_require_non_negative(h, f"job {i} hours", ParameterError) for i, h in enumerate(hours)]
+    jobs.sort(reverse=True)
     if not jobs:
         return 0.0
     loads = [0.0] * min(slots, len(jobs))
@@ -59,18 +62,18 @@ def lpt_makespan(hours: Iterable[float], slots: int) -> float:
     return max(loads)
 
 
-def _require_number(value, what: str) -> float:
+def _require_number(value, what: str, error: type = ValidationError) -> float:
     if not is_real(value):
-        raise ValidationError(f"{what} must be a number, got {value!r}")
+        raise error(f"{what} must be a number, got {value!r}")
     if not is_finite(value):
-        raise ValidationError(f"{what} must be finite, got {value!r}")
+        raise error(f"{what} must be finite, got {value!r}")
     return float(value)
 
 
-def _require_non_negative(value, what: str) -> float:
-    value = _require_number(value, what)
+def _require_non_negative(value, what: str, error: type = ValidationError) -> float:
+    value = _require_number(value, what, error)
     if value < 0:
-        raise ValidationError(f"{what} must be >= 0, got {value!r}")
+        raise error(f"{what} must be >= 0, got {value!r}")
     return value
 
 

@@ -7,9 +7,9 @@ precursor that randomly zeroes entries with probability ``p`` and rescales
 survivors by ``1 / (1 - p)`` to preserve the expected value.  KnOTS is a
 precursor that concatenates the per-model deltas layer by layer, applies a
 thin SVD to obtain a shared left basis and per-model task components, runs
-the inner merge on those components, and reconstructs.  When every model's
-layer is low-rank (adapter inputs), the SVD runs on the factors and the
-reconstruction stays low-rank.
+the inner merge on those components, and reconstructs.  Its SVD is the
+refactor's, :func:`adapters.concat_svd`: on low-rank layers (adapter
+inputs) it runs on the factors, and the reconstruction stays low-rank.
 
 Every pipeline runs one layer at a time: each model's layer is read, DARE-
 pruned, run through KnOTS and TIES, and the merged layer is done before the
@@ -53,7 +53,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, thin_svd
+from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, concat_svd
 from .container import CheckedBlock
 from .errors import AlignmentError, DataError, ParameterError, is_finite, is_integer, is_real
 from .rng import uniform_stream
@@ -494,33 +494,12 @@ _Svd = tuple[np.ndarray, np.ndarray, list[np.ndarray]]
 
 
 def _concat_svd(layer: str, blocks: Sequence[CheckedBlock]) -> _Svd:
-    """Thin SVD of ``[d_1 | ... | d_M]``; factored when every block is
-    low-rank and their summed rank is below the dense rank bound."""
-    count = len(blocks)
-    d_out, d_in = blocks[0].shape
-    if all(isinstance(b, LowRankBlock) for b in blocks) and sum(b.rank for b in blocks) < min(
-        d_out, count * d_in
-    ):
-        # [s_1 B_1 A_1 | ... | s_M B_M A_M] = [B_1 ... B_M] blockdiag(s_1 A_1, ..., s_M A_M)
-        left = np.concatenate([b.left for b in blocks], axis=1, dtype=np.float64)
-        right = np.zeros((left.shape[1], count * d_in))
-        row = 0
-        for m, b in enumerate(blocks):
-            tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
-            tile[...] = b.right
-            tile *= b.scale
-            row += b.rank
-        u, s, vt = thin_svd(layer, left, right)
-    else:
-        # one model's float32 layer is formed at a time, copied in and let go
-        dense = np.empty((d_out, count * d_in))
-        for m, b in enumerate(blocks):
-            dense[:, m * d_in : (m + 1) * d_in] = b.values
-        u, s, vt = thin_svd(layer, dense)
-        del dense
+    """The KnOTS basis and ``s``-scaled task parts of ``[d_1 | ... | d_M]``,
+    from its SVD (:func:`adapters.concat_svd`)."""
+    u, s, vt = concat_svd(layer, blocks)
     vt *= s[:, None]
     with np.errstate(over="ignore"):
-        parts = [part.astype(np.float32, order="C") for part in np.hsplit(vt, count)]
+        parts = [part.astype(np.float32, order="C") for part in np.hsplit(vt, len(blocks))]
     # |s_i vt_ij| <= s_0, so a part can leave float32 range only past that bound
     if not s[0] < np.finfo(np.float32).max:
         for m, part in enumerate(parts):

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import DeltaMap
-from .errors import AlignmentError, ParameterError, SimilarityUndefinedError
+from .errors import AlignmentError, DataError, ParameterError, SimilarityUndefinedError
 from .merging import _aligned_layers
 
 
@@ -28,11 +28,13 @@ def flatten(delta: DeltaMap) -> np.ndarray:
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1]."""
+    """Cosine of the angle between two finite vectors, in [-1, 1]."""
     a = np.asarray(u, dtype=np.float64).ravel()
     b = np.asarray(v, dtype=np.float64).ravel()
     if a.size != b.size:
         raise AlignmentError(f"vector lengths differ: {a.size} vs {b.size}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("cosine of a vector with non-finite values is undefined")
     return _score(np.dot(a, b), np.dot(a, a), np.dot(b, b))
 
 

@@ -46,6 +46,20 @@ class TestTensorBlock:
         with pytest.raises(DataError):
             TensorBlock("t", np.array([1.0, np.nan]))
 
+    def test_takes_a_float32_c_order_array_as_is_and_freezes_it(self):
+        # no copy, so a map of caller arrays holds no second copy of them
+        a = np.ones((3, 4), dtype=np.float32)
+        delta = DeltaMap.from_arrays({"w": a})
+        assert delta.layers["w"].values is a
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            a[0, 0] = 2.0
+
+    def test_any_other_array_is_copied_and_left_writable(self):
+        for a in (np.ones((3, 4)), np.ones((4, 3), dtype=np.float32).T):
+            block = TensorBlock("w", a)
+            assert block.values is not a and a.flags.writeable
+
     def test_rejects_scalar_and_zero_dims(self):
         with pytest.raises(ValidationError):
             TensorBlock("t", np.float32(1.0))
@@ -66,6 +80,12 @@ class TestLowRankBlock:
         assert block.values is not block.values
         assert not block.values.flags.writeable
 
+    def test_takes_float32_c_order_factors_as_is_and_freezes_them(self):
+        left, right = np.ones((5, 2), dtype=np.float32), np.ones((2, 3), dtype=np.float32)
+        block = LowRankBlock("l", left, right)
+        assert block.left is left and block.right is right
+        assert not left.flags.writeable and not right.flags.writeable
+
     def test_rejects_factors_that_do_not_chain(self):
         with pytest.raises(ValidationError):
             LowRankBlock("l", np.ones((5, 2)), np.ones((3, 3)))
@@ -82,6 +102,61 @@ class TestLowRankBlock:
         # the norm bound (2e40) exceeds float32 max, but the entries cancel
         block = LowRankBlock("l", np.full((2, 2), 1e20), np.array([[1e20], [-1e20]]))
         assert block.values.tolist() == [[0.0], [0.0]]
+
+
+def _split_factors(u, s, vt, rank):
+    """``(A, B)`` from a thin SVD, as the refactor splits it: sqrt(s) each side."""
+    root = np.sqrt(s[:rank])
+    return (root[:, None] * vt[:rank]).astype(np.float32), (u[:, :rank] * root).astype(np.float32)
+
+
+class TestRefactorRoutes:
+    """Each SVD route of ``refactor_to_adapter`` against the numpy
+    composition it stands for, byte for byte.  The layers are smaller than
+    OpenBLAS's threading threshold, so the reference does not depend on the
+    BLAS thread count."""
+
+    RANK, ALPHA = 5, 7.0  # alpha != rank: the factors carry a scale
+
+    @staticmethod
+    def _refactored(delta, rank):
+        a, b = refactor_to_adapter(delta, rank).layers["layer0"]
+        return a.values, b.values
+
+    def _low_rank(self):
+        rng = np.random.default_rng(83)
+        a = rng.standard_normal((self.RANK, 40)).astype(np.float32)
+        b = rng.standard_normal((48, self.RANK)).astype(np.float32)
+        return a, b, compute_delta(_adapter_1layer(a, b, self.RANK, self.ALPHA))
+
+    @pytest.mark.parametrize("rank", [2, RANK], ids=["below", "equal"])
+    def test_factored_route_is_qr_then_small_svd(self, rank):
+        a, b, delta = self._low_rank()
+        scale = self.ALPHA / self.RANK
+        q, r = np.linalg.qr(b.astype(np.float64))
+        u, s, vt = np.linalg.svd(r @ (scale * a.astype(np.float64)), full_matrices=False)
+        expected = _split_factors(q @ u, s, vt, rank)
+        got = self._refactored(delta, rank)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+    @pytest.mark.parametrize("rank", [RANK + 1, 11], ids=["above", "far-above"])
+    def test_rank_above_the_layer_takes_the_dense_route(self, rank):
+        _, _, delta = self._low_rank()
+        layer = delta.layers["layer0"].values
+        u, s, vt = np.linalg.svd(layer.astype(np.float64), full_matrices=False)
+        expected = _split_factors(u, s, vt, rank)
+        got = self._refactored(delta, rank)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
+
+    @pytest.mark.parametrize("rank", [1, 6, 30])
+    def test_delta_file_layer_takes_the_dense_route(self, tmp_path, rank):
+        rng = np.random.default_rng(84)
+        layer = rng.standard_normal((48, 30)).astype(np.float32)
+        save_delta(DeltaMap.from_arrays({"layer0": layer}, "de"), str(tmp_path / "d.tnsr"))
+        u, s, vt = np.linalg.svd(layer.astype(np.float64), full_matrices=False)
+        expected = _split_factors(u, s, vt, rank)
+        got = self._refactored(load_delta(str(tmp_path / "d.tnsr")), rank)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
 
 class TestAdapterValidation:

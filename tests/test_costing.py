@@ -68,6 +68,15 @@ class TestReduction:
         with pytest.raises(ReductionUndefinedError, match=r"^reduction from baseline -5\.0 to 3\.0"):
             reduction_pct(-5.0, 3.0)
 
+    @pytest.mark.parametrize(
+        "baseline, value",
+        [(1.0, float("nan")), (float("inf"), 1.0), ("1", 0), (1.0, True), (10**400, 1.0)],
+        ids=["nan-value", "inf-baseline", "string-baseline", "bool-value", "int-past-float"],
+    )
+    def test_arguments_must_be_finite_numbers(self, baseline, value):
+        with pytest.raises(ParameterError, match=r"^reduction (baseline|value) must be "):
+            reduction_pct(baseline, value)
+
     def test_rounding_matches_formula_at_one_decimal(self):
         rng = np.random.default_rng(70)
         for _ in range(200):
@@ -105,6 +114,16 @@ class TestMakespan:
     def test_bad_slots(self):
         with pytest.raises(ParameterError):
             lpt_makespan([1.0], 0)
+
+    @pytest.mark.parametrize(
+        "hour",
+        ["3", True, -1.0, float("nan"), float("inf"), 10**400],
+        ids=["string", "bool", "negative", "nan", "inf", "int-past-float"],
+    )
+    def test_each_hour_must_be_a_finite_non_negative_number(self, hour):
+        # the rule CostScenario applies to its hours, raised as ParameterError
+        with pytest.raises(ParameterError, match=r"^job 1 hours must be .*, got "):
+            lpt_makespan([2.0, hour], 1)
 
     @pytest.mark.parametrize("hours", [[], [1.0, 2.0]], ids=["no-jobs", "jobs"])
     @pytest.mark.parametrize("slots", [0, -1, 1.5, 2.0, True])

@@ -14,7 +14,7 @@ from loramerge import (
     knots_transform,
     refactor_to_adapter,
 )
-from loramerge.merging import _disjoint, _elect, _trim_count, _trim_values
+from loramerge.merging import _disjoint, _elect, _trim_count, _trim_values, lazy_merge
 from conftest import random_adapter, random_delta_set
 
 
@@ -195,6 +195,58 @@ class TestFactoredRoute:
             rebuilt = b.values.astype(np.float64) @ a.values.astype(np.float64)
             error = np.linalg.norm(rebuilt - exact)
             assert error <= np.sqrt(np.sum(sigma[rank:] ** 2)) * (1 + 1e-6)
+
+
+class TestFactoredRoutesFormNoLayer:
+    """``LowRankBlock._dense`` is where a low-rank layer is formed; count its
+    calls while every factor of a refactored adapter is read."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = []
+        dense = LowRankBlock._dense
+
+        def spy(self):
+            calls.append(self.name)
+            return dense(self)
+
+        monkeypatch.setattr(LowRankBlock, "_dense", spy)
+        return calls
+
+    @staticmethod
+    def _read_factors(adapter):
+        for a, b in adapter.layers.values():
+            a.values, b.values
+
+    @staticmethod
+    def _deltas():
+        rng = np.random.default_rng(91)
+        return [
+            compute_delta(random_adapter(rng, rank=2, dims=[(16, 20), (24, 18)], label=label))
+            for label in ("en", "de", "fr")
+        ]
+
+    def test_knots_merge_then_refactor(self, monkeypatch):
+        deltas = self._deltas()
+        calls = self._spy(monkeypatch)
+        merged = lazy_merge(deltas, MergeConfig(("KNOTS", "TIES"), density=0.5))
+        self._read_factors(refactor_to_adapter(merged, 4))
+        assert calls == []
+        # the refactor took the merged layers factored, not formed
+        assert all(isinstance(b.make(), LowRankBlock) for b in merged.layers.values())
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_refactor_at_or_below_the_adapter_rank(self, monkeypatch, rank):
+        delta = self._deltas()[0]
+        calls = self._spy(monkeypatch)
+        self._read_factors(refactor_to_adapter(delta, rank))
+        assert calls == []
+
+    def test_refactor_above_the_adapter_rank_forms_each_layer_once(self, monkeypatch):
+        delta = self._deltas()[0]
+        calls = self._spy(monkeypatch)
+        self._read_factors(refactor_to_adapter(delta, 3))
+        assert sorted(calls) == ["layer0", "layer1"]
 
 
 class TestDenseRoute:

@@ -5,6 +5,7 @@ import pytest
 
 from loramerge import (
     AlignmentError,
+    DataError,
     DeltaMap,
     LoraAdapter,
     LowRankBlock,
@@ -66,6 +67,16 @@ class TestCosine:
     def test_length_mismatch_rejected(self):
         with pytest.raises(AlignmentError):
             cosine(np.ones(3), np.ones(4))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("which", ["u", "v"])
+    def test_non_finite_entries_rejected(self, bad, which):
+        # rejected before any arithmetic: RuntimeWarnings are errors here too
+        u, v = np.array([1.0, bad]), np.array([1.0, 1.0])
+        if which == "v":
+            u, v = v, u
+        with pytest.raises(DataError, match="non-finite"):
+            cosine(u, v)
 
     def test_scale_invariance_and_sign_flip(self):
         rng = np.random.default_rng(61)
