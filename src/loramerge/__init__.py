@@ -5,7 +5,12 @@ The core objects are :class:`LoraAdapter` (per-layer low-rank factors) and
 :class:`DeltaMap` (per-layer full-rank deltas, the "language vectors" that
 merging operates on).  :func:`merge` runs a TIES pipeline optionally
 preceded by DARE pruning and/or KnOTS SVD alignment.
+
+The cost, metric and similarity tools are imported on first use of one of
+their names, so a merge does not load them.
 """
+
+import importlib
 
 from .adapters import (
     DeltaMap,
@@ -21,18 +26,6 @@ from .adapters import (
     save_delta,
 )
 from .container import read_header, read_tensors, write_tensors
-from .costing import (
-    ComparisonReport,
-    CostScenario,
-    LanguageUpdate,
-    MeasuredCosts,
-    initial_setup,
-    lpt_makespan,
-    reduction_pct,
-    render_table,
-    scenario_from_json_dict,
-    update_language,
-)
 from .errors import (
     AlignmentError,
     DataError,
@@ -58,17 +51,50 @@ from .merging import (
     merge,
     trim,
 )
-from .metrics import (
-    PRF,
-    accuracy,
-    evaluate_task,
-    hallucination_rate,
-    macro_prf,
-    rouge_l,
-    rouge_n,
-    tokenize,
-)
-from .similarity import SimilarityMatrix, cosine, flatten, similarity_matrix
+
+# names of the side tools' modules, imported by __getattr__ on first use
+_LAZY = {
+    "costing": (
+        "ComparisonReport",
+        "CostScenario",
+        "LanguageUpdate",
+        "MeasuredCosts",
+        "initial_setup",
+        "lpt_makespan",
+        "reduction_pct",
+        "render_table",
+        "scenario_from_json_dict",
+        "update_language",
+    ),
+    "metrics": (
+        "PRF",
+        "accuracy",
+        "evaluate_task",
+        "hallucination_rate",
+        "macro_prf",
+        "rouge_l",
+        "rouge_n",
+        "tokenize",
+    ),
+    "similarity": ("SimilarityMatrix", "cosine", "flatten", "similarity_matrix"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a side tool's module, or one of its names, on first use (PEP 562)."""
+    if name in _LAZY:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"
 

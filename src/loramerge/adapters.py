@@ -173,6 +173,7 @@ def concat_svd(layer: str, blocks: Sequence) -> tuple[np.ndarray, ...]:
             tile = right[row : row + b.rank, m * d_in : (m + 1) * d_in]
             np.multiply(b.right, b.scale, out=tile, dtype=np.float64)
             row += b.rank
+        del tile  # a view: it would keep `right` alive through the SVD
     else:
         # dense: one float32 layer is formed at a time, copied in and let go
         left, right = np.empty((d_out, count * d_in)), None
@@ -183,7 +184,13 @@ def concat_svd(layer: str, blocks: Sequence) -> tuple[np.ndarray, ...]:
             if right is None:
                 return np.linalg.svd(left, full_matrices=False)
             q, r = np.linalg.qr(left)
-            u, s, vt = np.linalg.svd(r @ right, full_matrices=False)
+            # each operand is let go once used, before the next product
+            # allocates: the peak is then `core` and the SVD's own arrays
+            del left
+            core = r @ right
+            del right
+            u, s, vt = np.linalg.svd(core, full_matrices=False)
+            del core
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
     return q @ u, s, vt

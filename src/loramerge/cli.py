@@ -3,7 +3,8 @@
 Subcommands: merge, delta, similarity, cost, metrics, inspect.  Diagnostics
 go to stderr with a one-line ``error[<code>]:`` prefix; machine output goes
 to files or stdout only.  Exit codes: 0 success, 1 validation error, 2 I/O
-error, 3 numerical error.
+error, 3 numerical error.  The cost, metrics and similarity modules are
+imported by their own subcommands, so a merge loads none of them.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import dataclasses
 import json
 import sys
 
-from . import costing, merging, metrics
+from . import merging
 from .adapters import (
     compute_delta,
     load_adapter,
@@ -24,7 +25,6 @@ from .adapters import (
 )
 from .container import read_header
 from .errors import FormatError, LoramergeError, ParameterError, StorageError
-from .similarity import similarity_matrix
 
 
 class _UsageError(LoramergeError):
@@ -156,6 +156,8 @@ def _cmd_delta(args: argparse.Namespace) -> int:
 
 
 def _cmd_similarity(args: argparse.Namespace) -> int:
+    from .similarity import similarity_matrix
+
     deltas = [load_as_delta(path) for path in args.deltas]
     matrix = similarity_matrix(deltas, per_layer=args.per_layer)
     _write_text(args.csv, matrix.to_csv())
@@ -163,6 +165,8 @@ def _cmd_similarity(args: argparse.Namespace) -> int:
 
 
 def _cmd_cost(args: argparse.Namespace) -> int:
+    from . import costing
+
     scenario = costing.scenario_from_json_dict(_read_json(args.scenario))
     initial = update = None
     if args.mode in (None, "initial"):
@@ -181,6 +185,8 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    from . import metrics
+
     report = metrics.evaluate_task(args.task, _read_jsonl(args.input))
     text = json.dumps(report, indent=2) + "\n"
     sys.stdout.write(text)

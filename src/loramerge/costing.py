@@ -141,6 +141,30 @@ class CostScenario:
         if gpus <= 0:
             raise ValidationError(f"combined_gpus must be > 0, got {self.combined_gpus!r}")
         object.__setattr__(self, "combined_gpus", gpus)
+        self._check_totals()
+
+    def _check_totals(self) -> None:
+        """Each sum and product the two rows form must stay finite."""
+        rate, gpus = self.rate_per_gpu_hour, self.combined_gpus
+        overhead = self.merge_overhead_hours
+        merged = sum(self.per_language_hours.values()) + overhead
+        combined = self.combined_hours * rate * gpus
+        totals = [
+            ("per_language_hours + merge_overhead_hours", merged),
+            ("(per_language_hours + merge_overhead_hours) * rate_per_gpu_hour", merged * rate),
+            ("combined_hours * rate_per_gpu_hour * combined_gpus", combined),
+        ]
+        if self.update is not None:
+            hours = self.update.retrain_hours + overhead
+            combined = self.update.combined_retrain_hours * rate * gpus
+            totals += [
+                ("update retrain_hours + merge_overhead_hours", hours),
+                ("(update retrain_hours + merge_overhead_hours) * rate_per_gpu_hour", hours * rate),
+                ("update combined_retrain_hours * rate_per_gpu_hour * combined_gpus", combined),
+            ]
+        for what, total in totals:
+            if not is_finite(total):
+                raise ValidationError(f"{what} must be finite, got {total!r}")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ permuting the input models leaves each model's stream attached to it.
 
 from __future__ import annotations
 
-import hashlib
 import struct
 
 import numpy as np
@@ -22,6 +21,8 @@ def stream_key(seed: int, label: str, name: str) -> int:
     """Derive a 128-bit Philox key from the (seed, label, name) triple."""
     if not is_integer(seed) or not 0 <= seed < _SEED_MAX:
         raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    import hashlib  # here, not at the top: a merge without DARE never loads OpenSSL
+
     digest = hashlib.blake2b(digest_size=16)
     digest.update(struct.pack("<Q", seed))
     for part in (label, name):

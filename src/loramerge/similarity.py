@@ -21,6 +21,9 @@ from .errors import AlignmentError, DataError, ParameterError, SimilarityUndefin
 from .merging import _aligned_layers
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
+
 def flatten(delta: DeltaMap) -> np.ndarray:
     """One float32 vector: layers in lexicographic order, row-major within."""
     delta.validate()
@@ -35,7 +38,23 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
         raise AlignmentError(f"vector lengths differ: {a.size} vs {b.size}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("cosine of a vector with non-finite values is undefined")
-    return _score(np.dot(a, b), np.dot(a, a), np.dot(b, b))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        dots = np.dot(a, b), np.dot(a, a), np.dot(b, b)
+        lost = (dots[1] < _TINY and a.any()) or (dots[2] < _TINY and b.any())
+        if lost or not np.isfinite(dots).all():
+            # a sum overflowed, or a nonzero squared norm fell below the
+            # normal range: scaled by a power of two, each vector's largest
+            # magnitude is in [0.5, 1), where neither can happen
+            a, b = _scaled(a), _scaled(b)
+            dots = np.dot(a, b), np.dot(a, a), np.dot(b, b)
+    return _score(*dots)
+
+
+def _scaled(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    if not x.any():
+        return x
+    return np.ldexp(x, -np.frexp(np.abs(x).max())[1])
 
 
 def _score(dot: float, norm2_a: float, norm2_b: float) -> float:

@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -232,6 +233,87 @@ def _run_child(argv, slab=None, **kwargs):
     return subprocess.run(
         [sys.executable, *command, *argv], capture_output=True, text=True, **kwargs
     )
+
+
+class TestMergeChildFootprint:
+    """A merge child loads only what its pipeline runs: hashlib, and with it
+    OpenSSL, only for DARE's stream keys, and none of the cost, metrics or
+    similarity modules, which ``loramerge`` imports on first use."""
+
+    SIDE = ["hashlib", "_hashlib", "loramerge.costing", "loramerge.metrics", "loramerge.similarity"]
+
+    def _child(self, code, *argv):
+        """Run ``code`` in a fresh interpreter; it prints one JSON document."""
+        done = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(code), json.dumps(self.SIDE), *argv],
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    @pytest.mark.parametrize(
+        "pipeline", [["TIES"], ["KNOTS", "TIES"], ["DARE", "TIES"]], ids=["ties", "knots", "dare"]
+    )
+    def test_a_merge_loads_hashlib_only_for_dare(self, workspace, pipeline):
+        tmp_path, adapters, _ = workspace
+        config = _write_config(tmp_path / "cfg.json", pipeline, seed=3)
+        out = str(tmp_path / "out.tnsr")
+        code = """
+            import json, sys
+            from loramerge import cli
+            side, argv = json.loads(sys.argv[1]), sys.argv[2:]
+            code = cli.run(argv)
+            print(json.dumps({"code": code, "loaded": [m for m in side if m in sys.modules]}))
+        """
+        paths = [path for _, path in adapters.values()]
+        result = self._child(code, "merge", "--config", config, "--out", out, *paths)
+        assert result["code"] == 0
+        assert load_delta(out).layers
+        loaded = set(result["loaded"])
+        if "DARE" in pipeline:  # a Python built without OpenSSL has no _hashlib
+            assert "hashlib" in loaded and loaded <= {"hashlib", "_hashlib"}
+        else:
+            assert not loaded
+
+    def test_every_public_name_resolves(self):
+        code = """
+            import json, sys
+            import loramerge
+            side = json.loads(sys.argv[1])
+            loaded = [m for m in side if m in sys.modules]
+            missing = [n for n in loramerge.__all__ if not hasattr(loramerge, n)]
+            modules = {m: getattr(loramerge, m) for m in ("costing", "metrics", "similarity")}
+            print(json.dumps({
+                "loaded_by_import": loaded,
+                "missing": missing,
+                "modules": all(sys.modules[f"loramerge.{m}"] is v for m, v in modules.items()),
+                "same": all(
+                    getattr(loramerge, n) is getattr(v, n)
+                    for v in modules.values() for n in loramerge.__all__ if hasattr(v, n)
+                ),
+                "dir": sorted(set(loramerge.__all__) - set(dir(loramerge))),
+            }))
+        """
+        assert self._child(code) == {
+            "loaded_by_import": [], "missing": [], "modules": True, "same": True, "dir": [],
+        }
+
+    def test_star_import_binds_every_public_name(self):
+        code = """
+            import json
+            namespace = {}
+            exec("from loramerge import *", namespace)
+            import loramerge
+            print(json.dumps(sorted(set(loramerge.__all__) - set(namespace))))
+        """
+        assert self._child(code) == []
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import loramerge
+
+        with pytest.raises(AttributeError, match="has no attribute 'nonesuch'"):
+            getattr(loramerge, "nonesuch")
 
 
 class TestNonFiniteProduct:

@@ -172,6 +172,65 @@ class TestScenario:
         with pytest.raises(ValidationError):
             CostScenario({"en": 1.0}, combined_hours=1.0, parallel_slots=0)
 
+    @pytest.mark.parametrize(
+        "doc, what",
+        [
+            (
+                {"per_language_hours": {"en": 1e308, "de": 1e308}, "rate_per_gpu_hour": 1.0},
+                r"per_language_hours \+ merge_overhead_hours",
+            ),
+            (
+                {"per_language_hours": {"en": 1e308}, "merge_overhead_hours": 1e308},
+                r"per_language_hours \+ merge_overhead_hours",
+            ),
+            (
+                {"per_language_hours": {"en": 1e300}, "rate_per_gpu_hour": 1e10},
+                r"\(per_language_hours \+ merge_overhead_hours\) \* rate_per_gpu_hour",
+            ),
+            (
+                {"combined_hours": 1e308, "rate_per_gpu_hour": 1e10},
+                r"combined_hours \* rate_per_gpu_hour \* combined_gpus",
+            ),
+            (
+                {"combined_hours": 1e300, "rate_per_gpu_hour": 1e5, "combined_gpus": 1e5},
+                r"combined_hours \* rate_per_gpu_hour \* combined_gpus",
+            ),
+            (
+                {"update": {"label": "de", "retrain_hours": 1e308, "combined_retrain_hours": 1.0},
+                 "merge_overhead_hours": 1e308},
+                r"update retrain_hours \+ merge_overhead_hours",
+            ),
+            (
+                {"update": {"label": "de", "retrain_hours": 1e300, "combined_retrain_hours": 1.0},
+                 "rate_per_gpu_hour": 1e10},
+                r"\(update retrain_hours \+ merge_overhead_hours\) \* rate_per_gpu_hour",
+            ),
+            (
+                {"update": {"label": "de", "retrain_hours": 1.0, "combined_retrain_hours": 1e300},
+                 "rate_per_gpu_hour": 1e10},
+                r"update combined_retrain_hours \* rate_per_gpu_hour \* combined_gpus",
+            ),
+        ],
+        ids=[
+            "languages",
+            "languages-and-overhead",
+            "merged-cost",
+            "combined-cost",
+            "combined-gpus",
+            "update-hours",
+            "update-merged-cost",
+            "update-combined-cost",
+        ],
+    )
+    def test_totals_past_float_range_rejected(self, doc, what, tmp_path, capsys):
+        doc = {"per_language_hours": {"en": 1.0}, "combined_hours": 1.0, **doc}
+        with pytest.raises(ValidationError, match=f"^{what} must be finite, got inf$"):
+            scenario_from_json_dict(doc)
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert run(["cost", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error[validation]: ")
+
 
 class TestInitialSetup:
     def test_small_rollout_reductions(self):

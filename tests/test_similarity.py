@@ -78,6 +78,30 @@ class TestCosine:
         with pytest.raises(DataError, match="non-finite"):
             cosine(u, v)
 
+    @pytest.mark.parametrize(
+        "u, v, expected",
+        [
+            ([1e200, 1e200], [1e200, 1e200], 1.0),  # the squared norms overflow
+            ([1e200, 0.0], [1e200, 1e200], 0.5**0.5),
+            ([1e-200, 1e-200], [1e-200, 3e-200], 2 / 5**0.5),  # they underflow to 0
+            ([1e-160, 1e-160], [1e-160, 3e-160], 2 / 5**0.5),  # they are subnormal
+            ([1e-320, 0.0], [0.0, 5e-324], 0.0),  # subnormal entries
+            ([1e200, 1.0], [1e-200, 1e-200], 0.5**0.5),  # one each way
+        ],
+        ids=["overflow", "overflow-one", "underflow", "subnormal-norms", "subnormal", "both-ways"],
+    )
+    def test_sums_past_float64_range_are_rescaled(self, u, v, expected):
+        # RuntimeWarnings are errors here: the overflow is neither warned nor returned
+        assert cosine(u, v) == pytest.approx(expected, abs=1e-15)
+        assert cosine(v, u) == pytest.approx(expected, abs=1e-15)
+
+    def test_rescaling_by_a_power_of_two_keeps_the_bits(self):
+        rng = np.random.default_rng(62)
+        u, v = rng.standard_normal(50), rng.standard_normal(50)
+        base = cosine(u, v)
+        for exponent in (-1000, -600, 600, 1000):  # entries stay normal
+            assert cosine(np.ldexp(u, exponent), np.ldexp(v, exponent)) == base
+
     def test_scale_invariance_and_sign_flip(self):
         rng = np.random.default_rng(61)
         u = rng.standard_normal(50)
