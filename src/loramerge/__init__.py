@@ -6,154 +6,63 @@ The core objects are :class:`LoraAdapter` (per-layer low-rank factors) and
 merging operates on).  :func:`merge` runs a TIES pipeline optionally
 preceded by DARE pruning and/or KnOTS SVD alignment.
 
-The cost, metric and similarity tools are imported on first use of one of
-their names, so a merge does not load them.
+Every public name, and every submodule, is imported on first use through
+one table (``_MODULES``), so ``from loramerge import merge`` works as before
+while a merge does not load the cost, metric and similarity tools, and a bare
+``import loramerge`` loads no numpy: a missing numpy shows at first use.
 """
 
 import importlib
 
-from .adapters import (
-    DeltaMap,
-    LoraAdapter,
-    LowRankBlock,
-    TensorBlock,
-    compute_delta,
-    load_adapter,
-    load_as_delta,
-    load_delta,
-    refactor_to_adapter,
-    save_adapter,
-    save_delta,
-)
-from .container import read_header, read_tensors, write_tensors
-from .errors import (
-    AlignmentError,
-    DataError,
-    FormatError,
-    LoramergeError,
-    NumericalError,
-    OverlapError,
-    PairingError,
-    ParameterError,
-    RateUndefinedError,
-    ReductionUndefinedError,
-    SimilarityUndefinedError,
-    StorageError,
-    ValidationError,
-)
-from .merging import (
-    MergeConfig,
-    dare_prune,
-    disjoint_merge,
-    elect_sign,
-    knots_merge,
-    knots_transform,
-    merge,
-    trim,
-)
-
-# names of the side tools' modules, imported by __getattr__ on first use
-_LAZY = {
+# each submodule and the public names it defines; blas and rng define none
+_MODULES = {
+    "adapters": (
+        "DeltaMap", "LoraAdapter", "LowRankBlock", "TensorBlock", "compute_delta",
+        "load_adapter", "load_as_delta", "load_delta", "refactor_to_adapter",
+        "save_adapter", "save_delta",
+    ),
+    "blas": (),
+    "container": ("read_header", "read_tensors", "write_tensors"),
     "costing": (
-        "ComparisonReport",
-        "CostScenario",
-        "LanguageUpdate",
-        "MeasuredCosts",
-        "initial_setup",
-        "lpt_makespan",
-        "reduction_pct",
-        "render_table",
-        "scenario_from_json_dict",
-        "update_language",
+        "ComparisonReport", "CostScenario", "LanguageUpdate", "MeasuredCosts",
+        "initial_setup", "lpt_makespan", "reduction_pct", "render_table",
+        "scenario_from_json_dict", "update_language",
+    ),
+    "errors": (
+        "AlignmentError", "DataError", "FormatError", "LoramergeError", "NumericalError",
+        "OverlapError", "PairingError", "ParameterError", "RateUndefinedError",
+        "ReductionUndefinedError", "SimilarityUndefinedError", "StorageError",
+        "ValidationError",
+    ),
+    "merging": (
+        "MergeConfig", "dare_prune", "disjoint_merge", "elect_sign", "knots_merge",
+        "knots_transform", "merge", "trim",
     ),
     "metrics": (
-        "PRF",
-        "accuracy",
-        "evaluate_task",
-        "hallucination_rate",
-        "macro_prf",
-        "rouge_l",
-        "rouge_n",
-        "tokenize",
+        "PRF", "accuracy", "evaluate_task", "hallucination_rate", "macro_prf",
+        "rouge_l", "rouge_n", "tokenize",
     ),
+    "rng": (),
     "similarity": ("SimilarityMatrix", "cosine", "flatten", "similarity_matrix"),
 }
-_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
 
 
 def __getattr__(name: str):
-    """Import a side tool's module, or one of its names, on first use (PEP 562)."""
-    if name in _LAZY:
+    """Import a submodule, or the module of a public name, on first use (PEP 562)."""
+    if name in _MODULES:
         return importlib.import_module(f"{__name__}.{name}")
-    if name not in _LAZY_NAMES:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_LAZY_NAMES})
+    return sorted({*globals(), *_MODULES, *_HOME})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentError",
-    "ComparisonReport",
-    "CostScenario",
-    "DataError",
-    "DeltaMap",
-    "FormatError",
-    "LanguageUpdate",
-    "LoraAdapter",
-    "LowRankBlock",
-    "LoramergeError",
-    "MeasuredCosts",
-    "MergeConfig",
-    "NumericalError",
-    "OverlapError",
-    "PRF",
-    "PairingError",
-    "ParameterError",
-    "RateUndefinedError",
-    "ReductionUndefinedError",
-    "SimilarityMatrix",
-    "SimilarityUndefinedError",
-    "StorageError",
-    "TensorBlock",
-    "ValidationError",
-    "accuracy",
-    "compute_delta",
-    "cosine",
-    "dare_prune",
-    "disjoint_merge",
-    "elect_sign",
-    "evaluate_task",
-    "flatten",
-    "hallucination_rate",
-    "initial_setup",
-    "knots_merge",
-    "knots_transform",
-    "load_adapter",
-    "load_as_delta",
-    "load_delta",
-    "lpt_makespan",
-    "macro_prf",
-    "merge",
-    "read_header",
-    "read_tensors",
-    "reduction_pct",
-    "refactor_to_adapter",
-    "render_table",
-    "rouge_l",
-    "rouge_n",
-    "save_adapter",
-    "save_delta",
-    "scenario_from_json_dict",
-    "similarity_matrix",
-    "tokenize",
-    "trim",
-    "update_language",
-    "write_tensors",
-]
+__all__ = sorted(_HOME)

@@ -35,11 +35,23 @@ from .errors import (
 
 
 def reduction_pct(baseline: float, value: float) -> float:
-    """Percentage reduction from ``baseline`` to ``value``: 100 (a-b)/a."""
-    for what, number in (("baseline", baseline), ("value", value)):
+    """Percentage reduction from ``baseline`` to ``value``: 100 (a-b)/a.
+
+    Where ``100 (a-b)`` overflows, the quotient is formed first; a result
+    past float range either way is a ``ParameterError``."""
+    baseline, value = (
         _require_number(number, f"reduction {what}", ParameterError)
+        for what, number in (("baseline", baseline), ("value", value))
+    )
     if baseline > 0:
-        return 100.0 * (baseline - value) / baseline
+        pct = 100.0 * (baseline - value) / baseline
+        if not is_finite(pct):
+            pct = 100.0 * ((baseline - value) / baseline)
+        if not is_finite(pct):
+            raise ParameterError(
+                f"reduction from baseline {baseline!r} to {value!r} is past float range"
+            )
+        return pct
     if baseline == 0 and value == 0:
         return 0.0
     raise ReductionUndefinedError(

@@ -309,6 +309,51 @@ class TestMergeChildFootprint:
         """
         assert self._child(code) == []
 
+    def test_bare_import_loads_no_numpy_and_no_submodule(self):
+        code = """
+            import json, sys
+            import loramerge
+            print(json.dumps(sorted(
+                m for m in sys.modules if m == "numpy" or m.startswith("loramerge.")
+            )))
+        """
+        assert self._child(code) == []
+
+    @pytest.mark.parametrize(
+        "name",
+        ["adapters", "blas", "container", "errors", "merging", "rng"]
+        + ["costing", "metrics", "similarity"],
+    )
+    def test_submodule_resolves_as_the_first_attribute_touched(self, name):
+        code = """
+            import json, sys, types
+            import loramerge
+            name = sys.argv[2]
+            module = getattr(loramerge, name)
+            print(json.dumps([
+                isinstance(module, types.ModuleType),
+                module is sys.modules.get(f"loramerge.{name}"),
+                name in dir(loramerge),
+            ]))
+        """
+        assert self._child(code, name) == [True, True, True]
+
+    def test_each_table_module_defines_its_names(self):
+        code = """
+            import importlib, json
+            import loramerge
+            strays = [
+                (module, name)
+                for module, names in loramerge._MODULES.items()
+                for name in names
+                if getattr(importlib.import_module(f"loramerge.{module}"), name).__module__
+                != f"loramerge.{module}"
+            ]
+            listed = sorted(n for names in loramerge._MODULES.values() for n in names)
+            print(json.dumps({"strays": strays, "once": listed == loramerge.__all__}))
+        """
+        assert self._child(code) == {"strays": [], "once": True}
+
     def test_unknown_name_is_an_attribute_error(self):
         import loramerge
 
@@ -1001,6 +1046,63 @@ class TestInputFileChecks:
         assert got.startswith(line.format(path=path))
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize(
+        "command, header, line",
+        [
+            ("inspect", [], "header must be a JSON object"),
+            ("merge", [], "header must be a JSON object"),
+            (
+                "merge",
+                {"__metadata__": {"label": "en"}, "w.delta": 5},
+                "entry for 'w.delta' must be an object",
+            ),
+        ],
+        ids=["inspect-header-list", "merge-header-list", "merge-entry-not-object"],
+    )
+    def test_malformed_header(self, tmp_path, capsys, command, header, line):
+        path = str(tmp_path / "in.tnsr")
+        write_raw_container(path, header, b"")
+        out = str(tmp_path / "out.tnsr")
+        config = _write_config(tmp_path / "cfg.json", ["TIES"])
+        argv = {
+            "inspect": ["inspect", path],
+            "merge": ["merge", "--config", config, "--out", out, path],
+        }[command]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error[format]: {path}: {line}\n"
+        assert captured.out == ""
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "text, code, line",
+        [
+            ("[]", 1, "error[parameter]: merge config must be a JSON object"),
+            (
+                '{"pipeline": "TIES"}',
+                1,
+                "error[parameter]: config 'pipeline' must be a list of method names",
+            ),
+            (
+                None,
+                2,
+                f"error[io]: cannot read {{path}}: [Errno {errno.ENOENT}] "
+                f"{os.strerror(errno.ENOENT)}: '{{path}}'",
+            ),
+        ],
+        ids=["list", "pipeline-not-a-list", "missing-file"],
+    )
+    def test_merge_config(self, workspace, capsys, text, code, line):
+        tmp_path, adapters, _ = workspace
+        path = str(tmp_path / "config.json")
+        if text is not None:
+            Path(path).write_text(text)
+        out = str(tmp_path / "out.tnsr")
+        argv = ["merge", "--config", path, "--out", out] + [p for _, p in adapters.values()]
+        assert run(argv) == code
+        assert capsys.readouterr().err == line.format(path=path) + "\n"
+        assert not os.path.exists(out)
+
     @pytest.mark.parametrize("command", ["merge", "cost", "metrics"])
     def test_json_input_not_utf8(self, workspace, capsys, command):
         tmp_path, adapters, _ = workspace
@@ -1251,6 +1353,67 @@ class TestCostCommand:
             "error[validation]: measured initial_combined_cost must be >= 0, got -5.0\n"
         )
 
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ([1, 2], "error[parameter]: scenario must be a JSON object"),
+            (
+                {"per_language_hours": [1.0], "combined_hours": 1.0},
+                "error[parameter]: per_language_hours must be an object of label -> hours",
+            ),
+            (
+                {"per_language_hours": {"en": 1.0}, "combined_hours": 1.0, "combined_gpus": 0},
+                "error[validation]: combined_gpus must be > 0, got 0",
+            ),
+            (
+                {
+                    "per_language_hours": {"en": 1.0},
+                    "combined_hours": 1.0,
+                    "update": {"label": "", "retrain_hours": 1.0, "combined_retrain_hours": 2.0},
+                },
+                "error[validation]: update label must be a non-empty string",
+            ),
+            (
+                {"per_language_hours": {"en": 1.0}, "combined_hours": 1.0, "update": {"label": "en"}},
+                "error[parameter]: update must carry exactly "
+                "['combined_retrain_hours', 'label', 'retrain_hours']",
+            ),
+            (
+                {"per_language_hours": {"en": 1.0}, "combined_hours": 1.0, "measured": {"x": 1.0}},
+                "error[parameter]: measured keys must be among ['initial_combined_cost', "
+                "'initial_merged_cost', 'update_combined_cost', 'update_merged_cost']",
+            ),
+            (
+                {"per_language_hours": {"en": 1e307}, "combined_hours": 1.0},
+                "error[parameter]: reduction from baseline 1.0 to 1e+307 is past float range",
+            ),
+        ],
+        ids=[
+            "not-an-object",
+            "language-hours-list",
+            "zero-gpus",
+            "empty-update-label",
+            "update-missing-keys",
+            "unknown-measured-key",
+            "reduction-past-float-range",
+        ],
+    )
+    def test_rejected_scenario(self, tmp_path, capsys, scenario, line):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        report = tmp_path / "report.json"
+        assert run(["cost", "--scenario", str(path), "--json", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == line + "\n"
+        assert captured.out == ""
+        assert not report.exists()
+
+    def test_product_past_float_range_gives_a_finite_reduction(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"per_language_hours": {"en": 1.0}, "combined_hours": 1e307}))
+        assert run(["cost", "--scenario", str(path)]) == 0
+        assert "1h (100.0% ↓)" in capsys.readouterr().out
+
     def test_invalid_scenario_json_is_exit_1(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -1297,6 +1460,30 @@ class TestMetricsCommand:
             fh.write('{"gold": "a"\n')
         assert run(["metrics", "--task", "sentiment", "--in", path]) == 1
         assert "error[format]:" in capsys.readouterr().err
+
+    def test_record_not_an_object_is_named_by_line(self, tmp_path, capsys):
+        path = self._jsonl(tmp_path, [[1]])
+        assert run(["metrics", "--task", "sentiment", "--in", path]) == 1
+        assert capsys.readouterr().err == f"error[format]: {path}:1: record must be a JSON object\n"
+
+    def test_extraction_examples_not_a_list(self, tmp_path, capsys):
+        path = self._jsonl(tmp_path, [{"source": "a b", "examples": "a"}])
+        assert run(["metrics", "--task", "extraction", "--in", path]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error[format]: ")
+
+    def test_missing_input_is_exit_2(self, tmp_path, capsys):
+        path = str(tmp_path / "absent.jsonl")
+        assert run(["metrics", "--task", "sentiment", "--in", path]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error[io]: cannot read {path}: ")
+
+    def test_unwritable_json_out_is_exit_2(self, tmp_path, capsys):
+        path = self._jsonl(tmp_path, [{"gold": "a", "pred": "a"}])
+        out = str(tmp_path / "absent" / "report.json")
+        assert run(["metrics", "--task", "sentiment", "--in", path, "--json", out]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error[io]: cannot write {out}: ")
 
     def test_unknown_task_flag_rejected(self, tmp_path, capsys):
         path = self._jsonl(tmp_path, [{"gold": "a", "pred": "a"}])

@@ -1,6 +1,7 @@
 import errno
 import math
 import os
+import re
 import struct
 import tracemalloc
 from pathlib import Path
@@ -184,6 +185,21 @@ def test_empty_container_rejected_both_ways(tmp_path):
     write_raw_container(path, {"__metadata__": {"label": "x"}}, b"")
     with pytest.raises(FormatError):
         read_tensors(path)
+
+
+@pytest.mark.parametrize(
+    "tensors, metadata, message",
+    [
+        ({"": np.ones((2, 2))}, None, "tensor names must be non-empty"),
+        ({"a": np.ones((2, 2))}, {"rank": 64}, "metadata keys and values must be strings"),
+        ({"a": np.ones((0, 2))}, None, "tensor 'a' must have >=1 dimension, all sizes >=1"),
+    ],
+    ids=["empty-name", "non-string-metadata", "zero-size-dimension"],
+)
+def test_write_rejects_a_malformed_layout(tmp_path, tensors, metadata, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        write_tensors(str(tmp_path / "out.tnsr"), tensors, metadata)
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_rejects_non_finite():

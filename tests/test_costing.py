@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestReduction:
     )
     def test_arguments_must_be_finite_numbers(self, baseline, value):
         with pytest.raises(ParameterError, match=r"^reduction (baseline|value) must be "):
+            reduction_pct(baseline, value)
+
+    def test_product_past_float_range_divides_first(self):
+        assert reduction_pct(1e307, 1.0) == 100.0
+        assert reduction_pct(1.5e308, 7.5e307) == 50.0
+
+    @pytest.mark.parametrize(
+        "baseline, value", [(1.0, 1e307), (1.7e308, -1.7e308)], ids=["quotient", "difference"]
+    )
+    def test_result_past_float_range_rejected(self, baseline, value):
+        message = f"reduction from baseline {baseline!r} to {value!r} is past float range"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             reduction_pct(baseline, value)
 
     def test_rounding_matches_formula_at_one_decimal(self):
@@ -277,6 +290,15 @@ class TestInitialSetup:
     def test_zero_combined_hours_with_merged_work_undefined(self):
         scenario = CostScenario({"en": 2.0}, combined_hours=0.0)
         with pytest.raises(ReductionUndefinedError):
+            initial_setup(scenario)
+
+    def test_huge_combined_hours_give_a_finite_reduction(self):
+        report = initial_setup(CostScenario({"en": 1.0}, combined_hours=1e307))
+        assert report.time_reduction_pct == 100.0
+
+    def test_reduction_past_float_range_rejected(self):
+        scenario = CostScenario({"en": 1e307}, combined_hours=1.0)
+        with pytest.raises(ParameterError, match="^reduction from baseline 1.0 to 1e"):
             initial_setup(scenario)
 
 

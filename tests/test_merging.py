@@ -544,6 +544,14 @@ class TestDisjointMerge:
         with pytest.raises(AlignmentError, match=r"layer 'l' shapes differ: sign map"):
             disjoint_merge(deltas, {"l": np.ones(shape, np.int8)})
 
+    @pytest.mark.parametrize(
+        "signs", [{"m": np.ones((1, 1), np.int8)}, {}], ids=["other-layer", "no-layer"]
+    )
+    def test_sign_map_for_other_layers_rejected(self, signs):
+        deltas = _column_deltas([1.0, 2.0])
+        with pytest.raises(AlignmentError, match="^sign map layers do not match the inputs$"):
+            disjoint_merge(deltas, signs)
+
     def test_unmatched_entries_are_positive_zero(self):
         # every value has the opposite sign to, or is a zero of either sign
         # under, the elected sign; negative values times "no match" give -0.0

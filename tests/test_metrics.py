@@ -125,6 +125,10 @@ class TestRougeL:
     def test_identical_texts(self):
         assert rouge_l("a b c", "a b c") == (1.0, 1.0, 1.0)
 
+    def test_punctuation_only_reference_rejected(self):
+        with pytest.raises(ParameterError, match="^reference is empty after tokenization$"):
+            rouge_l("!!", "a b")
+
     def test_reordered_tokens_fixture(self):
         precision, recall, f1 = rouge_l("a b c d", "a c d b")
         assert precision == 0.75

@@ -68,6 +68,13 @@ class TestCosine:
         with pytest.raises(AlignmentError):
             cosine(np.ones(3), np.ones(4))
 
+    def test_zero_vector_against_one_past_float64_range_rejected(self):
+        # the other vector's squared norm overflows, so both are rescaled first
+        with pytest.raises(SimilarityUndefinedError, match="all-zero vector"):
+            cosine([0.0, 0.0], [1e200, 1e200])
+        with pytest.raises(SimilarityUndefinedError, match="all-zero vector"):
+            cosine([1e200, 1e200], [0.0, 0.0])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     @pytest.mark.parametrize("which", ["u", "v"])
     def test_non_finite_entries_rejected(self, bad, which):
