@@ -15,7 +15,9 @@ taken from the SVD of their layer, :func:`concat_svd`, which KnOTS shares.
 
 On disk both live in the container format of :mod:`loramerge.container`,
 with tensor names ``<layer>.lora_A`` / ``<layer>.lora_B`` for adapters and
-``<layer>.delta`` for deltas.
+``<layer>.delta`` for deltas.  An adapter file is read whole, always by
+:func:`load_adapter`; a delta file's layers are read when they are used,
+each a :class:`PendingBlock` whose ``part`` reads a range of it.
 """
 
 from __future__ import annotations
@@ -204,14 +206,14 @@ class PendingBlock(container.CheckedBlock):
 
     ``make`` returns an array with the :class:`container.CheckedBlock`
     contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
-    array or the block's values.  It is not cached.  ``part``, when given,
-    returns the flat entries ``[start, stop)`` of ``values`` with the same
-    contract, without forming the rest: a delta file's layer has one, and
-    so has a streamed merge's layer whose inputs all have one.  A source
-    that is DARE-pruned, or merged from such sources, draws from a Philox
-    stream whose counter steps by 4 entries, so ``start`` must then be a
-    multiple of 4.  :func:`container.write_tensors` writes a block with a
-    ``part`` a slab at a time.
+    array or the block's values.  It is not cached.  ``part``, when given
+    (it is None on every other block), returns the flat entries
+    ``[start, stop)`` of ``values`` with the same contract, without forming
+    the rest: a delta file's layer has one, and so has a streamed merge's
+    layer whose inputs all have one.  A source that is DARE-pruned, or
+    merged from such sources, draws from a Philox stream whose counter steps
+    by 4 entries, so ``start`` must then be a multiple of 4.
+    :func:`container.write_tensors` forms such a block one slab at a time.
     """
 
     name: str
@@ -314,9 +316,9 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
     container.write_tensors(path, tensors, metadata)
 
 
-def _adapter_from_payload(
-    tensors: dict[str, np.ndarray], metadata: dict[str, str], path: str
-) -> LoraAdapter:
+def load_adapter(path: str) -> LoraAdapter:
+    """Read and validate an adapter container file."""
+    tensors, metadata = container.read_tensors(path)
     a_parts: dict[str, np.ndarray] = {}
     b_parts: dict[str, np.ndarray] = {}
     for name, arr in tensors.items():
@@ -353,12 +355,6 @@ def _adapter_from_payload(
     return LoraAdapter(layers, rank, alpha, metadata["label"])
 
 
-def load_adapter(path: str) -> LoraAdapter:
-    """Read and validate an adapter container file."""
-    tensors, metadata = container.read_tensors(path)
-    return _adapter_from_payload(tensors, metadata, path)
-
-
 def save_delta(delta: DeltaMap, path: str) -> None:
     """Write a delta; a layer not held in memory (low-rank or pending) is
     formed when its turn to be written comes."""
@@ -393,18 +389,15 @@ def load_delta(path: str) -> DeltaMap:
 
 
 def load_as_delta(path: str) -> DeltaMap:
-    """Open a delta file (see :func:`load_delta`) or load an adapter file
-    and compute its delta; the file kind follows from the tensor names."""
+    """Open a delta file (:func:`load_delta`) or load an adapter file
+    (:func:`load_adapter`) as its delta; the tensor names tell which."""
     source = container.TensorFile(path)
     names = list(source.shapes)
     if all(n.endswith(_DELTA_SUFFIX) for n in names):
         return _delta_from_file(source)
-    try:
-        if all(n.endswith((_A_SUFFIX, _B_SUFFIX)) for n in names):
-            tensors = {name: source.read(name) for name in names}
-            return compute_delta(_adapter_from_payload(tensors, source.metadata, path))
-    finally:
-        source.close()
+    source.close()
+    if all(n.endswith((_A_SUFFIX, _B_SUFFIX)) for n in names):
+        return compute_delta(load_adapter(path))
     raise FormatError(f"{path}: mixed or unknown tensor naming, cannot infer file kind")
 
 

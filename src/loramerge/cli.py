@@ -2,9 +2,11 @@
 
 Subcommands: merge, delta, similarity, cost, metrics, inspect.  Diagnostics
 go to stderr with a one-line ``error[<code>]:`` prefix; machine output goes
-to files or stdout only.  Exit codes: 0 success, 1 validation error, 2 I/O
-error, 3 numerical error.  The cost, metrics and similarity modules are
-imported by their own subcommands, so a merge loads none of them.
+to files or stdout only, every file through :func:`container.replacing`,
+and a report file before the report is printed.  Exit codes: 0 success,
+1 validation error, 2 I/O error, 3 numerical error.  The cost, metrics and
+similarity modules are imported by their own subcommands, so a merge loads
+none of them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .adapters import (
     save_adapter,
     save_delta,
 )
-from .container import read_header
+from .container import read_header, replacing
 from .errors import FormatError, LoramergeError, ParameterError, StorageError
 
 
@@ -117,11 +119,8 @@ def _read_jsonl(path: str) -> list[dict]:
 
 
 def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise StorageError(f"cannot write {path}: {exc}") from exc
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
@@ -173,14 +172,15 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         initial = costing.initial_setup(scenario)
     if args.mode == "update" or (args.mode is None and scenario.update is not None):
         update = costing.update_language(scenario)
-    sys.stdout.write(costing.render_table(initial, update))
-    if args.json_out:
+    table = costing.render_table(initial, update)
+    if args.json_out:  # first, so a failed write prints no report
         doc = {}
         if initial is not None:
             doc["initial"] = initial.to_json_dict()
         if update is not None:
             doc["update"] = update.to_json_dict()
         _write_text(args.json_out, json.dumps(doc, indent=2) + "\n")
+    sys.stdout.write(table)
     return 0
 
 
@@ -189,9 +189,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
     report = metrics.evaluate_task(args.task, _read_jsonl(args.input))
     text = json.dumps(report, indent=2) + "\n"
-    sys.stdout.write(text)
-    if args.json_out:
+    if args.json_out:  # first, so a failed write prints no report
         _write_text(args.json_out, text)
+    sys.stdout.write(text)
     return 0
 
 

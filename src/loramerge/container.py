@@ -14,25 +14,27 @@ at 0.  Writers emit tensors in sorted-name order with a canonical compact
 JSON header, so identical inputs produce identical bytes.  Only float32 is
 supported; non-finite payload values are rejected when a tensor is read.
 
-A write goes to a temporary file beside the target and is renamed over it
-only when complete, so a failed write leaves no partial file.  The header
-follows from the tensors' shapes, so each tensor is formed (a block) or
-converted (an array), checked and written at its offset in turn, and let
-go before the next one is formed.  A block that can give a range of its
-entries (``part``) is formed and written a slab at a time instead, so no
-tensor of it is held whole.  A read opens the file, checks the header and
-layout, and reads each tensor at its offset when it is asked for
-(:class:`TensorFile`).
+Every output file of the package, container or text report, is written
+through :func:`replacing`: to a temporary file beside the target, renamed
+over it only when complete, so a failed write leaves no partial file and an
+existing target as it was.  The header follows from the tensors' shapes, so
+each tensor is written at its offset in turn, a slab at a time, and let go
+before the next one is formed.  A block with a ``part`` forms each slab in
+turn, so no tensor of it is held whole; any other value is formed (a block)
+or converted (an array) and checked whole, then sliced.  A read opens the
+file, checks the header (its text must encode back to UTF-8) and layout,
+and reads each tensor at its offset when it is asked for (:class:`TensorFile`).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 import struct
 import threading
-from typing import Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -70,11 +72,18 @@ class CheckedBlock:
     """Base of the layer types whose ``values`` are checked when the block is
     built or the values formed: a ``shape``, and a ``values`` array of that
     shape, float32, C-order and finite, which may be formed only when read.
-    A block may also have a ``part(start, stop)`` that is not None and gives
-    the flat entries ``[start, stop)`` of ``values`` with the same contract.
-    :func:`write_tensors` writes such a block without checking it again."""
+    ``part`` is None, or a ``part(start, stop)`` that gives the flat entries
+    ``[start, stop)`` of ``values`` with the same contract without forming
+    the rest.  :func:`write_tensors` writes a block without checking it again."""
 
     __slots__ = ()
+    part: Callable[[int, int], np.ndarray] | None = None
+
+
+def _slices(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
+    """A ``part`` that slices the flat entries of ``values``, held whole."""
+    flat = values.ravel()
+    return lambda start, stop: flat[start:stop]
 
 
 def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None = None) -> None:
@@ -82,11 +91,11 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
 
     Each value is a :class:`CheckedBlock` or anything else that converts to
     a float32 array.  The header takes the shapes from ``np.shape``; then,
-    in the mapping's order, each value is formed (a block's ``values``) or
-    converted and checked for non-finite entries, written at its offset in
-    the sorted-name layout and let go before the next one is formed.  A
-    block with a ``part`` is formed ``_SLAB`` entries at a time, in order,
-    each slab written at its offset and let go before the next is formed.
+    in the mapping's order, each value is written at its offset in the
+    sorted-name layout ``_SLAB`` entries at a time.  A block's ``part``
+    forms each slab in turn, let go before the next is formed; any other
+    value is formed whole (a block's ``values``) or converted and checked
+    for non-finite entries, sliced, and let go before the next is formed.
     """
     if not tensors:
         raise FormatError("refusing to write a container with no tensors")
@@ -116,32 +125,13 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
 
     blob = _canonical_header_bytes(header)
     base = _LEN_BYTES + len(blob)
-    directory, filename = os.path.split(os.path.abspath(path))
-    temp = os.path.join(directory, f".{filename}.{os.urandom(8).hex()}.tmp")
-    try:
-        fh = open(temp, "xb")
-    except OSError as exc:
-        raise _write_error(path, exc) from exc
-    try:
-        with fh:
-            fh.write(struct.pack(_LEN_FMT, len(blob)))
-            fh.write(blob)
-            for name, value in tensors.items():
-                block = isinstance(value, CheckedBlock)
-                fh.seek(base + header[name]["data_offsets"][0])
-                if block and getattr(value, "part", None) is not None:
-                    size = math.prod(shapes[name])
-                    for start in range(0, size, _SLAB):
-                        stop = min(start + _SLAB, size)
-                        arr = np.ascontiguousarray(value.part(start, stop), dtype=_F32)
-                        if arr.shape != (stop - start,):
-                            raise FormatError(
-                                f"tensor {name!r} gives {arr.shape} for entries "
-                                f"[{start}, {stop}), its block says {shapes[name]}"
-                            )
-                        fh.write(memoryview(arr).cast("B"))
-                        del arr  # before the next slab is formed
-                    continue
+    with replacing(path) as fh:
+        fh.write(struct.pack(_LEN_FMT, len(blob)))
+        fh.write(blob)
+        for name, value in tensors.items():
+            block = isinstance(value, CheckedBlock)
+            part = value.part if block else None
+            if part is None:
                 arr = np.ascontiguousarray(value.values if block else value, dtype=_F32)
                 if arr.shape != shapes[name]:
                     raise FormatError(
@@ -149,24 +139,44 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
                     )
                 if not block and not np.isfinite(arr).all():
                     raise DataError(f"tensor {name!r} contains non-finite values")
+                part = _slices(arr)
+            fh.seek(base + header[name]["data_offsets"][0])
+            size = math.prod(shapes[name])
+            for start in range(0, size, _SLAB):
+                stop = min(start + _SLAB, size)
+                arr = np.ascontiguousarray(part(start, stop), dtype=_F32)
+                if arr.shape != (stop - start,):
+                    raise FormatError(
+                        f"tensor {name!r} gives {arr.shape} for entries "
+                        f"[{start}, {stop}), its block says {shapes[name]}"
+                    )
                 fh.write(memoryview(arr).cast("B"))
-                del arr  # before the next tensor is formed
-        os.replace(temp, path)
-    except BaseException as exc:
+                del arr  # before the next slab is formed
+
+
+@contextlib.contextmanager
+def replacing(path: str) -> Iterator[BinaryIO]:
+    """A new binary file that takes the place of ``path`` when the block
+    completes: a temporary file beside it, renamed over it then and removed
+    on failure, so an existing target is left as it was.  An OSError is a
+    StorageError naming ``path``."""
+    directory, filename = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{filename}.{os.urandom(8).hex()}.tmp")
+    try:
+        fh = open(temp, "xb")
         try:
-            os.unlink(temp)
-        except OSError:
-            pass
-        if isinstance(exc, OSError):
-            raise _write_error(path, exc) from exc
-        raise
-
-
-def _write_error(path: str, exc: OSError) -> StorageError:
-    if exc.errno is not None and exc.filename is not None:
-        # name the target, not the temporary file, as a direct write would
-        exc = OSError(exc.errno, exc.strerror, path)
-    return StorageError(f"cannot write {path}: {exc}")
+            with fh:
+                yield fh
+            os.replace(temp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(temp)
+            raise
+    except OSError as exc:
+        if exc.errno is not None and exc.filename is not None:
+            # name the target, not the temporary file, as a direct write would
+            exc = OSError(exc.errno, exc.strerror, path)
+        raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
 def _parse_header(raw: bytes | bytearray, path: str) -> dict:
@@ -176,6 +186,10 @@ def _parse_header(raw: bytes | bytearray, path: str) -> dict:
         raise FormatError(f"{path}: header is not valid UTF-8 JSON ({exc})") from exc
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header must be a JSON object")
+    try:  # an escaped lone surrogate parses, but no UTF-8 writer can write it back
+        _canonical_header_bytes(header)
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"{path}: header text is not valid Unicode ({exc.reason})") from exc
     return header
 
 

@@ -49,12 +49,12 @@ import os
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, concat_svd
-from .container import CheckedBlock
+from .container import CheckedBlock, _slices
 from .errors import AlignmentError, DataError, ParameterError, is_finite, is_integer, is_real
 from .rng import uniform_stream
 
@@ -307,11 +307,6 @@ def _dare_chunk(
 _ChunkSource = Callable[[int, int], np.ndarray]  # (start, stop) -> flat float32 entries
 
 
-def _slices(values: np.ndarray) -> _ChunkSource:
-    flat = values.ravel()
-    return lambda start, stop: flat[start:stop]
-
-
 def _source(
     block: CheckedBlock, label: str, layer: str, drop_rate: float, seed: int
 ) -> _ChunkSource:
@@ -321,10 +316,7 @@ def _source(
     A delta file's layer is read a range at a time; any other is formed
     once, now, and sliced.
     """
-    if isinstance(block, PendingBlock) and block.part is not None:
-        read = block.part
-    else:
-        read = _slices(block.values)
+    read = block.part if block.part is not None else _slices(block.values)
     if drop_rate == 0.0:
         return read
     return lambda start, stop: _dare_chunk(read(start, stop), label, layer, start, drop_rate, seed)
@@ -557,9 +549,10 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     ``save_adapter``) never holds the whole output, and at most one layer
     per model at a time: none, for an untrimmed layer without KnOTS whose
     inputs are delta files, which is read chunk by chunk.  Such a layer's
-    block has a ``part``, which merges only the range asked for (checked
-    for finiteness, as the whole layer is), so ``save_delta`` holds none of
-    the merged layer beyond a slab.
+    block has a ``part``, which merges only the range asked for, so
+    ``save_delta`` holds none of the merged layer beyond a slab.  An
+    untrimmed layer is that range merge over the whole layer, and every
+    trimmed one (TIES or KnOTS) ends in one trim→TIES step.
     """
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))
@@ -572,58 +565,51 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         size = math.prod(deltas[0].layers[layer].shape)
         return not knots and _trim_count(config.density, size) >= size
 
-    def sources(layer: str) -> list[_ChunkSource]:
-        return [_source(d.layers[layer], d.label, layer, drop_rate, config.seed) for d in deltas]
-
     def merged_part(layer: str, start: int, stop: int) -> np.ndarray:
-        # the TensorBlock check of the whole layer, on the range
-        part = _ties_layer(sources(layer), (stop - start,), w, start)
-        if not np.isfinite(part).all():
-            raise DataError(f"tensor {layer!r} contains non-finite values")
-        part.setflags(write=False)
-        return part
+        # finite with no check: a weighted mean of finite float32 values stays
+        # within float32 range, as sum(weights) * FLT_MAX is finite (MergeConfig)
+        # and float64 rounds it by far less than float32's half ulp
+        sources = [_source(d.layers[layer], d.label, layer, drop_rate, config.seed) for d in deltas]
+        return _ties_layer(sources, (stop - start,), w, start)
+
+    def trimmed_ties(values: Iterable[np.ndarray], keep: int) -> np.ndarray:
+        # each model's whole layer is trimmed in place as it comes
+        trimmed = [_trim_values(v, keep) for v in values]
+        return _ties_layer([_slices(v) for v in trimmed], trimmed[0].shape, w)
+
+    def whole(d: DeltaMap, layer: str) -> np.ndarray:
+        return _whole(d.layers[layer], d.label, layer, drop_rate, config.seed)
 
     def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
-        models = [d.layers[layer] for d in deltas]
-        shape = models[0].shape
+        shape = deltas[0].layers[layer].shape
+        size = math.prod(shape)
         if streamed(layer):
             # nothing needs a whole layer: each chunk step reads and prunes
             # its chunk of every model
-            return TensorBlock(layer, _ties_layer(sources(layer), shape, w))
+            return TensorBlock(layer, merged_part(layer, 0, size).reshape(shape))
         if not knots:
             # the trim needs the whole layer's threshold, so it runs serially, one
             # model at a time: trimming models on parallel workers held a float64
             # product and the trim's scratch per worker (``ties-adapters`` +7.9 MB RSS)
-            keep = _trim_count(config.density, math.prod(shape))
-            trimmed = [
-                _slices(_trim_values(_whole(b, d.label, layer, drop_rate, config.seed), keep))
-                for d, b in zip(deltas, models)
-            ]
-            return TensorBlock(layer, _ties_layer(trimmed, shape, w))
+            wholes = (whole(d, layer) for d in deltas)
+            return TensorBlock(layer, trimmed_ties(wholes, _trim_count(config.density, size)))
         # TIES on the task parts in the shared basis, as knots_merge describes;
         # the trim counts against the dense parts' size.  With DARE, a model's
         # layer is read, densified and pruned when the SVD takes it
         if drop_rate > 0.0:
             models = [
-                PendingBlock(
-                    layer,
-                    shape,
-                    functools.partial(_whole, b, d.label, layer, drop_rate, config.seed),
-                )
-                for d, b in zip(deltas, models)
+                PendingBlock(layer, shape, functools.partial(whole, d, layer)) for d in deltas
             ]
+        else:
+            models = [d.layers[layer] for d in deltas]
         d_out, d_in = shape
         u, _, parts = _concat_svd(layer, models)
         keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
-        trimmed = [_slices(_trim_values(p, keep)) for p in parts]
-        product = LowRankBlock(layer, u, _ties_layer(trimmed, parts[0].shape, w))
+        product = LowRankBlock(layer, u, trimmed_ties(parts, keep))
         return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
 
     def ranged(layer: str) -> bool:
-        return all(
-            isinstance(b, PendingBlock) and b.part is not None
-            for b in (d.layers[layer] for d in deltas)
-        )
+        return all(d.layers[layer].part is not None for d in deltas)
 
     layers = {
         layer: PendingBlock(

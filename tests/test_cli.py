@@ -1007,6 +1007,44 @@ class TestAtomicOut:
         assert sorted(os.listdir(tmp_path)) == before
 
 
+    @pytest.mark.parametrize("command", ["similarity", "cost", "metrics"])
+    def test_failed_report_write_leaves_target_and_no_temp_file(
+        self, workspace, monkeypatch, capsys, command
+    ):
+        """The CSV and JSON reports are written as ``--out`` is: a rename that
+        fails leaves an existing report byte-identical and no temporary file."""
+        tmp_path, adapters, _ = workspace
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"per_language_hours": {"en": 1.0}, "combined_hours": 2.0}))
+        records = tmp_path / "in.jsonl"
+        records.write_text(json.dumps({"gold": "a", "pred": "a"}) + "\n")
+        out = tmp_path / "report"
+        out.write_bytes(b"old report\n")
+        argv = {
+            "similarity": ["similarity", "--csv", str(out), *(p for _, p in adapters.values())],
+            "cost": ["cost", "--scenario", str(scenario), "--json", str(out)],
+            "metrics": ["metrics", "--task", "sentiment", "--in", str(records), "--json", str(out)],
+        }[command]
+        before = sorted(os.listdir(tmp_path))
+
+        def fail(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), src, None, dst)
+
+        monkeypatch.setattr(os, "replace", fail)
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error[io]: cannot write {out}: [Errno {errno.ENOSPC}] "
+            f"{os.strerror(errno.ENOSPC)}: {str(out)!r}\n"
+        )
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == before
+        assert out.read_bytes() == b"old report\n"
+
+
+_SURROGATE = "header text is not valid Unicode (surrogates not allowed)"
+
+
 class TestInputFileChecks:
     """A malformed input file gives one ``error[<code>]`` line and no output."""
 
@@ -1056,8 +1094,19 @@ class TestInputFileChecks:
                 {"__metadata__": {"label": "en"}, "w.delta": 5},
                 "entry for 'w.delta' must be an object",
             ),
+            # an escaped lone surrogate parses, but no UTF-8 writer can write it back
+            ("inspect", {"__metadata__": {"label": "en\ud800"}}, _SURROGATE),
+            ("merge", {"__metadata__": {"label": "en"}, "w\ud800.delta": 5}, _SURROGATE),
+            ("similarity", {"__metadata__": {"label": "en\ud800"}}, _SURROGATE),
         ],
-        ids=["inspect-header-list", "merge-header-list", "merge-entry-not-object"],
+        ids=[
+            "inspect-header-list",
+            "merge-header-list",
+            "merge-entry-not-object",
+            "inspect-surrogate-label",
+            "merge-surrogate-name",
+            "similarity-surrogate-label",
+        ],
     )
     def test_malformed_header(self, tmp_path, capsys, command, header, line):
         path = str(tmp_path / "in.tnsr")
@@ -1067,6 +1116,7 @@ class TestInputFileChecks:
         argv = {
             "inspect": ["inspect", path],
             "merge": ["merge", "--config", config, "--out", out, path],
+            "similarity": ["similarity", "--csv", out, path, path],
         }[command]
         assert run(argv) == 1
         captured = capsys.readouterr()
@@ -1414,6 +1464,14 @@ class TestCostCommand:
         assert run(["cost", "--scenario", str(path)]) == 0
         assert "1h (100.0% ↓)" in capsys.readouterr().out
 
+    def test_unwritable_json_out_is_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "absent" / "report.json")
+        assert run(["cost", "--scenario", self._scenario_path(tmp_path), "--json", out]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error[io]: cannot write {out}: ")
+        assert captured.out == ""
+
     def test_invalid_scenario_json_is_exit_1(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -1482,8 +1540,10 @@ class TestMetricsCommand:
         path = self._jsonl(tmp_path, [{"gold": "a", "pred": "a"}])
         out = str(tmp_path / "absent" / "report.json")
         assert run(["metrics", "--task", "sentiment", "--in", path, "--json", out]) == 2
-        (line,) = capsys.readouterr().err.splitlines()
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
         assert line.startswith(f"error[io]: cannot write {out}: ")
+        assert captured.out == ""
 
     def test_unknown_task_flag_rejected(self, tmp_path, capsys):
         path = self._jsonl(tmp_path, [{"gold": "a", "pred": "a"}])

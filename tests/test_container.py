@@ -233,8 +233,8 @@ def test_slab_is_a_whole_number_of_merge_chunks():
 
 
 class TestSlabs:
-    """A block with a ``part`` is formed and written ``_SLAB`` entries at a
-    time, each slab at its offset, in order."""
+    """Every tensor is written ``_SLAB`` entries at a time, each slab at its
+    offset, in order; a block with a ``part`` forms each slab in turn."""
 
     SHAPE = (5, 7)  # 35 entries: slabs of 8 and a ragged tail of 3
 
@@ -257,6 +257,14 @@ class TestSlabs:
         write_tensors(str(tmp_path / "whole.tnsr"), {"w": block.values, "a": np.ones((2, 2))})
         assert asked == [(0, 8), (8, 16), (16, 24), (24, 32), (32, 35)]
         assert (tmp_path / "slabs.tnsr").read_bytes() == (tmp_path / "whole.tnsr").read_bytes()
+        # a plain array is sliced into slabs too: the bytes of the layout in one piece
+        header = {
+            "a": {"dtype": "F32", "shape": [2, 2], "data_offsets": [0, 16]},
+            "w": {"dtype": "F32", "shape": [5, 7], "data_offsets": [16, 156]},
+        }
+        layout = tmp_path / "layout.tnsr"
+        write_raw_container(str(layout), header, _payload(np.ones((2, 2)), block.values))
+        assert (tmp_path / "whole.tnsr").read_bytes() == layout.read_bytes()
 
     @pytest.mark.parametrize("cut", [1, -1], ids=["short", "long"])
     def test_slab_of_the_wrong_length_is_format_error(self, tmp_path, cut):
@@ -342,6 +350,18 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.tnsr"]
     with open(path, "rb") as fh:
         assert fh.read() == before
+
+
+def test_header_with_a_lone_surrogate_is_format_error(tmp_path):
+    """``\\ud800`` parses to a string no UTF-8 writer can write back, so the
+    header is rejected where it is read."""
+    path = str(tmp_path / "s.tnsr")
+    entry = {"dtype": "F32", "shape": [1, 2], "data_offsets": [0, 8]}
+    write_raw_container(path, {"__metadata__": {"label": "en\ud800"}, "a": entry}, _payload([1, 2]))
+    message = f"{path}: header text is not valid Unicode (surrogates not allowed)"
+    for read in (read_header, read_tensors, TensorFile):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            read(path)
 
 
 def test_write_to_missing_directory_names_the_target(tmp_path):

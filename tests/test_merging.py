@@ -855,6 +855,32 @@ class TestGoldenDigests:
         self._check(merge(self._deltas(), config), self.DARE_TIES_SHA256)
 
 
+class TestFiniteAtTheExtremes:
+    """A merged range is not checked for non-finite values: a weighted mean
+    of finite float32 values is finite float32 while ``sum(weights) *
+    FLT_MAX`` is finite, which MergeConfig enforces.  Every triple of extreme
+    values, under extreme accepted weights, merges finite, with the same
+    bytes by ``part`` and whole."""
+
+    @pytest.mark.parametrize(
+        "weights", [(5e-324, 1.0, 1e269), (2.6e269, 2.6e269, 1e-320)], ids=["spread", "near-limit"]
+    )
+    def test_every_triple_of_extremes(self, tmp_path, weights):
+        top = np.finfo(np.float32).max
+        pool = [top, np.nextafter(top, np.float32(0)), np.float32(1e-45)]
+        pool = np.array([*pool, *(-v for v in pool), 0.0], dtype=np.float32)
+        triples = np.array(np.meshgrid(pool, pool, pool, indexing="ij")).reshape(3, 7, 49)
+        paths = []
+        for label, values in zip(("en", "de", "fr"), triples):
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(DeltaMap.from_arrays({"w": values}, label=label), paths[-1])
+        config = MergeConfig(("TIES",), density=1.0, weights=weights)
+        block = merging.lazy_merge([load_delta(path) for path in paths], config).layers["w"]
+        by_part = np.concatenate([block.part(start, start + 49) for start in range(0, 343, 49)])
+        assert np.isfinite(by_part).all() and np.abs(by_part).max() == top
+        assert by_part.tobytes() == block.values.tobytes()
+
+
 class TestChunkBoundaries:
     """DARE's drops and TIES's election and disjoint mean run over fixed-size
     chunks; a layer spanning several chunks with a ragged tail must give the
