@@ -209,10 +209,8 @@ class PendingBlock(container.CheckedBlock):
     array or the block's values.  It is not cached.  ``part``, when given
     (it is None on every other block), returns the flat entries
     ``[start, stop)`` of ``values`` with the same contract, without forming
-    the rest: a delta file's layer has one, and so has a streamed merge's
-    layer whose inputs all have one.  A source that is DARE-pruned, or
-    merged from such sources, draws from a Philox stream whose counter steps
-    by 4 entries, so ``start`` must then be a multiple of 4.
+    the rest, for any ``0 <= start <= stop <= size``: a delta file's layer
+    has one, and so has a streamed merge's layer whose inputs all have one.
     :func:`container.write_tensors` forms such a block one slab at a time.
     """
 
@@ -228,6 +226,11 @@ class PendingBlock(container.CheckedBlock):
 
 def _values(made: "np.ndarray | TensorBlock | LowRankBlock") -> np.ndarray:
     return made if isinstance(made, np.ndarray) else made.values
+
+
+def _check_label(label) -> None:
+    if not isinstance(label, str):
+        raise ValidationError(f"label must be a string, got {label!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +249,7 @@ class LoraAdapter:
     def validate(self) -> None:
         if not self.layers:
             raise ValidationError("adapter has no layers")
+        _check_label(self.label)
         if not is_integer(self.rank) or self.rank < 1:
             raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
         if not (is_finite(self.alpha) and self.alpha > 0):
@@ -274,6 +278,7 @@ class DeltaMap:
     def validate(self) -> None:
         if not self.layers:
             raise ValidationError("delta map has no layers")
+        _check_label(self.label)
         for layer, block in self.layers.items():
             if len(block.shape) != 2:
                 raise ValidationError(f"layer {layer!r}: delta must be 2-D, got {block.shape}")

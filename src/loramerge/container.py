@@ -51,14 +51,12 @@ _LEN_FMT = "<Q"
 _LEN_BYTES = 8
 _F32 = np.dtype("<f4")
 
-# Entries per write of a block that gives ranges: 4 MiB.  A multiple of
-# merging._CHUNK, so a slab of a merged layer starts on a chunk boundary
-# and every DARE draw on a Philox counter boundary.  Smaller slabs cost page
-# faults: once no buffer this large is freed, glibc's dynamic mmap and trim
-# thresholds stay low and the chunk scratch is returned to the system and
-# faulted back in.  A warm in-process ``dare-deltas`` merge (2-core x86_64
-# host) took ≈17 minor faults at this size, ≈30K at 1 << 19 and ≈141K at
-# 1 << 18 or 1 << 16, which also doubled its time.
+# Entries per write of a block that gives ranges: 4 MiB.  Smaller slabs
+# cost page faults: once no buffer this large is freed, glibc's dynamic mmap
+# and trim thresholds stay low and the chunk scratch is returned to the
+# system and faulted back in.  A warm in-process ``dare-deltas`` merge
+# (2-core x86_64 host) took ≈17 minor faults at this size, ≈30K at 1 << 19
+# and ≈141K at 1 << 18 or 1 << 16, which also doubled its time.
 _SLAB = 1 << 20
 
 

@@ -67,7 +67,6 @@ _PIPELINES = {
 
 # Entries per step of DARE's drops and TIES's sign election and disjoint
 # mean: their float64 temporaries stay cache-sized whatever the layer size.
-# A multiple of 4, so every chunk starts on a Philox counter boundary.
 _CHUNK = 1 << 16
 
 # Threads that run the chunks: one per CPU this process may run on, at most
@@ -418,7 +417,10 @@ def _ties_layer(
     source in model order.  A source slices a trimmed layer or, where no
     trim or KnOTS needs the whole layer, reads and prunes each chunk when it
     is asked for (:func:`_source`), so that no model's layer is formed for
-    the merge.
+    the merge.  The result is finite with no check: a weighted mean of
+    finite float32 values stays within float32 range, as sum(weights) *
+    FLT_MAX is finite (:class:`MergeConfig`), and float64 rounds it by far
+    less than float32's half ulp.
     """
 
     def merged(begin: int, stop: int) -> np.ndarray:
@@ -537,7 +539,13 @@ def merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     merge forms from them are held (inputs read from files are read then).
     """
     merged = lazy_merge(deltas, config)
-    return DeltaMap({layer: block.make() for layer, block in merged.layers.items()}, merged.label)
+    layers = {}
+    for layer, block in merged.layers.items():
+        made = block.make()
+        # a formed array is checked for finiteness here, once; a low-rank
+        # layer was checked when it was built
+        layers[layer] = TensorBlock(layer, made) if isinstance(made, np.ndarray) else made
+    return DeltaMap(layers, merged.label)
 
 
 def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
@@ -566,9 +574,6 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         return not knots and _trim_count(config.density, size) >= size
 
     def merged_part(layer: str, start: int, stop: int) -> np.ndarray:
-        # finite with no check: a weighted mean of finite float32 values stays
-        # within float32 range, as sum(weights) * FLT_MAX is finite (MergeConfig)
-        # and float64 rounds it by far less than float32's half ulp
         sources = [_source(d.layers[layer], d.label, layer, drop_rate, config.seed) for d in deltas]
         return _ties_layer(sources, (stop - start,), w, start)
 
@@ -580,19 +585,19 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     def whole(d: DeltaMap, layer: str) -> np.ndarray:
         return _whole(d.layers[layer], d.label, layer, drop_rate, config.seed)
 
-    def merge_layer(layer: str) -> TensorBlock | LowRankBlock:
+    def merge_layer(layer: str) -> np.ndarray | LowRankBlock:
         shape = deltas[0].layers[layer].shape
         size = math.prod(shape)
         if streamed(layer):
             # nothing needs a whole layer: each chunk step reads and prunes
             # its chunk of every model
-            return TensorBlock(layer, merged_part(layer, 0, size).reshape(shape))
+            return merged_part(layer, 0, size).reshape(shape)
         if not knots:
             # the trim needs the whole layer's threshold, so it runs serially, one
             # model at a time: trimming models on parallel workers held a float64
             # product and the trim's scratch per worker (``ties-adapters`` +7.9 MB RSS)
             wholes = (whole(d, layer) for d in deltas)
-            return TensorBlock(layer, trimmed_ties(wholes, _trim_count(config.density, size)))
+            return trimmed_ties(wholes, _trim_count(config.density, size))
         # TIES on the task parts in the shared basis, as knots_merge describes;
         # the trim counts against the dense parts' size.  With DARE, a model's
         # layer is read, densified and pruned when the SVD takes it
@@ -606,7 +611,7 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         u, _, parts = _concat_svd(layer, models)
         keep = _trim_count(config.density, min(d_out, len(parts) * d_in) * d_in)
         product = LowRankBlock(layer, u, trimmed_ties(parts, keep))
-        return product if u.shape[1] < min(product.shape) else TensorBlock(layer, product.values)
+        return product if u.shape[1] < min(product.shape) else product.values
 
     def ranged(layer: str) -> bool:
         return all(d.layers[layer].part is not None for d in deltas)

@@ -19,6 +19,7 @@ from .errors import (
     RateUndefinedError,
     ValidationError,
     is_finite,
+    is_integer,
     is_real,
 )
 
@@ -90,7 +91,7 @@ def _prf_from_counts(overlap: int, candidate_total: int, reference_total: int) -
 
 def rouge_n(reference: str, candidate: str, n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1 (n is 1 or 2)."""
-    if n not in (1, 2):
+    if not (is_integer(n) and n in (1, 2)):
         raise ParameterError(f"n must be 1 or 2, got {n!r}")
     ref_tokens = tokenize(reference)
     cand_tokens = tokenize(candidate)

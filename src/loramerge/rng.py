@@ -37,13 +37,15 @@ def uniform_stream(
     seed: int, label: str, name: str, count: int, start: int = 0
 ) -> np.ndarray:
     """Return ``count`` float64 uniforms in [0, 1) from the keyed stream,
-    beginning at flat index ``start``.
+    beginning at flat index ``start``: ``[start:start + count]`` of the
+    stream drawn from 0, for any non-negative integer ``start``.
 
     Each Philox counter step yields four 64-bit words and each uniform takes
-    one, so a ``start`` that is a multiple of 4 is counter ``start // 4``:
-    the draw equals ``[start:start + count]`` of the stream drawn from 0.
+    one, so the draw begins at counter ``start // 4`` and the ``start % 4``
+    uniforms before ``start`` are drawn and dropped.
     """
-    if not is_integer(start) or start < 0 or start % 4:
-        raise ParameterError(f"stream start must be a non-negative multiple of 4, got {start!r}")
+    if not is_integer(start) or start < 0:
+        raise ParameterError(f"stream start must be a non-negative integer, got {start!r}")
+    skip = start % 4
     bitgen = np.random.Philox(key=stream_key(seed, label, name), counter=start // 4)
-    return np.random.Generator(bitgen).random(count)
+    return np.random.Generator(bitgen).random(count + skip)[skip:]

@@ -196,6 +196,13 @@ class TestAdapterValidation:
         with pytest.raises(ValidationError, match="must be (a )?positive"):
             _adapter_1layer(np.zeros((1, 3)), np.zeros((4, 1)), rank=rank, alpha=alpha)
 
+    @pytest.mark.parametrize("label", [5, None, b"en"], ids=["int", "none", "bytes"])
+    def test_non_string_label_rejected(self, label):
+        with pytest.raises(ValidationError, match="label must be a string"):
+            _adapter_1layer(np.zeros((1, 3)), np.zeros((4, 1)), rank=1, alpha=1.0, label=label)
+        with pytest.raises(ValidationError, match="label must be a string"):
+            DeltaMap.from_arrays({"w": np.ones((2, 2), np.float32)}, label=label)
+
 
 class TestComputeDelta:
     def test_hand_matrix_product(self):

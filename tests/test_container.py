@@ -11,11 +11,16 @@ import pytest
 
 from loramerge import (
     DataError,
+    DeltaMap,
     FormatError,
+    MergeConfig,
     OverlapError,
     StorageError,
+    load_delta,
+    merge,
     read_header,
     read_tensors,
+    save_delta,
     write_tensors,
 )
 from loramerge import container, merging
@@ -227,9 +232,27 @@ def test_write_checks_array_likes_that_are_not_blocks(tmp_path):
     assert read_tensors(path)[0]["a"].tolist() == [[1.0, 2.0]]
 
 
-def test_slab_is_a_whole_number_of_merge_chunks():
-    # a slab of a merged layer starts on a chunk, so on a Philox boundary
-    assert container._SLAB % merging._CHUNK == 0
+def test_merged_layer_gives_its_bytes_by_any_slab_and_range(tmp_path, monkeypatch):
+    """A streamed DARE+TIES merge of delta files is written with the same
+    bytes whether or not its slabs start on a merge chunk, and any range of
+    its merged layer is that slice of the layer merged whole."""
+    rng = np.random.default_rng(300515)
+    paths = []
+    for label in ("en", "de", "fr"):
+        paths.append(str(tmp_path / f"{label}.tnsr"))
+        delta = DeltaMap.from_arrays({"w": rng.standard_normal((300, 515))}, label=label)
+        save_delta(delta, paths[-1])
+    config = MergeConfig(("DARE", "TIES"), density=1.0, drop_rate=0.3, seed=7)
+
+    def merged():
+        return merging.lazy_merge([load_delta(path) for path in paths], config)
+
+    save_delta(merged(), str(tmp_path / "default.tnsr"))
+    monkeypatch.setattr(container, "_SLAB", merging._CHUNK + 3)
+    save_delta(merged(), str(tmp_path / "ragged.tnsr"))
+    assert (tmp_path / "ragged.tnsr").read_bytes() == (tmp_path / "default.tnsr").read_bytes()
+    whole = merge([load_delta(path) for path in paths], config).layers["w"].values
+    assert merged().layers["w"].part(5, 70001).tobytes() == whole.ravel()[5:70001].tobytes()
 
 
 class TestSlabs:

@@ -109,8 +109,9 @@ class TestRougeN:
             rouge_n("a b", "", 1)
 
     def test_bad_n_rejected(self):
-        with pytest.raises(ParameterError):
-            rouge_n("a", "a", 3)
+        for n in (3, True, 1.0, 2.0):
+            with pytest.raises(ParameterError):
+                rouge_n("a", "a", n)
 
     def test_swap_exchanges_precision_recall(self):
         a, b = "the cat sat on the mat", "a cat sat"
