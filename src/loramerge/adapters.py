@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -208,9 +208,9 @@ class PendingBlock(container.CheckedBlock):
     contract, or a ``TensorBlock`` or ``LowRankBlock``; ``values`` is that
     array or the block's values.  It is not cached.  ``part``, when given
     (it is None on every other block), returns the flat entries
-    ``[start, stop)`` of ``values`` with the same contract, without forming
-    the rest, for any ``0 <= start <= stop <= size``: a delta file's layer
-    has one, and so has a streamed merge's layer whose inputs all have one.
+    ``[start, stop)`` of ``values`` without forming the rest, as
+    :class:`container.CheckedBlock` says: a delta file's layer has one, and
+    so has a streamed merge's layer whose inputs all have one.
     :func:`container.write_tensors` forms such a block one slab at a time.
     """
 
@@ -321,22 +321,25 @@ def save_adapter(adapter: LoraAdapter, path: str) -> None:
     container.write_tensors(path, tensors, metadata)
 
 
+def _layer_names(path: str, names: Iterable[str], suffixes: tuple[str, ...]) -> dict:
+    """``{suffix: {layer: name}}`` of the tensor names ``<layer><suffix>``,
+    in order; FormatError for the first name that follows none."""
+    found: dict[str, dict[str, str]] = {suffix: {} for suffix in suffixes}
+    for name in names:
+        suffix = next((s for s in suffixes if name.endswith(s) and len(name) > len(s)), None)
+        if suffix is None:
+            rule = "<layer>" + "/".join(suffixes)
+            raise FormatError(f"{path}: tensor {name!r} does not follow the {rule} convention")
+        found[suffix][name[: -len(suffix)]] = name
+    return found
+
+
 def load_adapter(path: str) -> LoraAdapter:
     """Read and validate an adapter container file."""
     tensors, metadata = container.read_tensors(path)
-    a_parts: dict[str, np.ndarray] = {}
-    b_parts: dict[str, np.ndarray] = {}
-    for name, arr in tensors.items():
-        if name.endswith(_A_SUFFIX) and len(name) > len(_A_SUFFIX):
-            a_parts[name[: -len(_A_SUFFIX)]] = arr
-        elif name.endswith(_B_SUFFIX) and len(name) > len(_B_SUFFIX):
-            b_parts[name[: -len(_B_SUFFIX)]] = arr
-        else:
-            raise FormatError(
-                f"{path}: tensor {name!r} does not follow the <layer>.lora_A/.lora_B convention"
-            )
-    missing_b = sorted(set(a_parts) - set(b_parts))
-    missing_a = sorted(set(b_parts) - set(a_parts))
+    a_names, b_names = _layer_names(path, tensors, (_A_SUFFIX, _B_SUFFIX)).values()
+    missing_b = sorted(set(a_names) - set(b_names))
+    missing_a = sorted(set(b_names) - set(a_names))
     if missing_b:
         raise PairingError(f"{path}: missing lora_B for layer {missing_b[0]!r}")
     if missing_a:
@@ -350,13 +353,8 @@ def load_adapter(path: str) -> LoraAdapter:
     except ValueError as exc:
         raise FormatError(f"{path}: malformed rank/alpha metadata ({exc})") from exc
 
-    layers = {
-        layer: (
-            TensorBlock(layer + _A_SUFFIX, a_parts[layer]),
-            TensorBlock(layer + _B_SUFFIX, b_parts[layer]),
-        )
-        for layer in sorted(a_parts)
-    }
+    blocks = {name: TensorBlock(name, arr) for name, arr in tensors.items()}
+    layers = {layer: (blocks[a_names[layer]], blocks[b_names[layer]]) for layer in sorted(a_names)}
     return LoraAdapter(layers, rank, alpha, metadata["label"])
 
 
@@ -371,19 +369,16 @@ def save_delta(delta: DeltaMap, path: str) -> None:
 def _delta_from_file(source: container.TensorFile) -> DeltaMap:
     if "label" not in source.metadata:
         raise FormatError(f"{source.path}: delta metadata is missing 'label'")
-    layers: dict[str, PendingBlock] = {}
-    for name, shape in source.shapes.items():
-        if not name.endswith(_DELTA_SUFFIX) or len(name) == len(_DELTA_SUFFIX):
-            raise FormatError(
-                f"{source.path}: tensor {name!r} does not follow the <layer>.delta convention"
-            )
-        layer = name[: -len(_DELTA_SUFFIX)]
-        layers[layer] = PendingBlock(
+    names = _layer_names(source.path, source.shapes, (_DELTA_SUFFIX,))[_DELTA_SUFFIX]
+    layers = {
+        layer: PendingBlock(
             layer,
-            shape,
+            source.shapes[name],
             functools.partial(source.read, name),
             functools.partial(source.read_range, name),
         )
+        for layer, name in names.items()
+    }
     return DeltaMap(layers, source.metadata["label"])
 
 

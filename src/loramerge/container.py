@@ -15,15 +15,16 @@ JSON header, so identical inputs produce identical bytes.  Only float32 is
 supported; non-finite payload values are rejected when a tensor is read.
 
 Every output file of the package, container or text report, is written
-through :func:`replacing`: to a temporary file beside the target, renamed
-over it only when complete, so a failed write leaves no partial file and an
-existing target as it was.  The header follows from the tensors' shapes, so
-each tensor is written at its offset in turn, a slab at a time, and let go
-before the next one is formed.  A block with a ``part`` forms each slab in
-turn, so no tensor of it is held whole; any other value is formed (a block)
-or converted (an array) and checked whole, then sliced.  A read opens the
-file, checks the header (its text must encode back to UTF-8) and layout,
-and reads each tensor at its offset when it is asked for (:class:`TensorFile`).
+through :func:`replacing`: to a temporary file beside the target, synced
+to disk and renamed over it only when complete, so a failed write leaves no
+partial file and an existing target as it was.  The header follows from the
+tensors' shapes, so each tensor is written at its offset in turn, a slab at
+a time, and let go before the next one is formed.  A block with a ``part``
+forms each slab in turn, so no tensor of it is held whole; any other value
+is formed (a block) or converted (an array) and checked whole, then sliced.
+A read opens the file, checks the header (its text must encode back to
+UTF-8) and layout, and reads each tensor at its offset when it is asked for
+(:class:`TensorFile`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import os
 import struct
 import threading
@@ -72,10 +74,20 @@ class CheckedBlock:
     shape, float32, C-order and finite, which may be formed only when read.
     ``part`` is None, or a ``part(start, stop)`` that gives the flat entries
     ``[start, stop)`` of ``values`` with the same contract without forming
-    the rest.  :func:`write_tensors` writes a block without checking it again."""
+    the rest, for integer bounds in ``[0, size]`` with ``start <= stop``; any
+    other range is a ParameterError naming the tensor before anything is
+    read (:func:`_checked_range`).  :func:`write_tensors` writes a block unchecked."""
 
     __slots__ = ()
     part: Callable[[int, int], np.ndarray] | None = None
+
+
+def _checked_range(start, stop, size: int, name: str) -> tuple[int, int]:
+    """``part``'s bounds as ints, for tensor ``name`` of ``size`` entries."""
+    ints = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in (start, stop))
+    if not (ints and 0 <= start <= stop <= size):
+        raise ParameterError(f"range [{start}, {stop}) is outside tensor {name!r}")
+    return int(start), int(stop)
 
 
 def _slices(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
@@ -155,9 +167,11 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
 @contextlib.contextmanager
 def replacing(path: str) -> Iterator[BinaryIO]:
     """A new binary file that takes the place of ``path`` when the block
-    completes: a temporary file beside it, renamed over it then and removed
-    on failure, so an existing target is left as it was.  An OSError is a
-    StorageError naming ``path``."""
+    completes: a temporary file beside it, synced to disk, renamed over it
+    then and removed on failure, so an existing target is left as it was.
+    An OSError is a StorageError naming ``path``.  The directory is then
+    synced too, so the rename survives a crash, where the platform and file
+    system allow it; the output is in place either way."""
     directory, filename = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{filename}.{os.urandom(8).hex()}.tmp")
     try:
@@ -165,6 +179,8 @@ def replacing(path: str) -> Iterator[BinaryIO]:
         try:
             with fh:
                 yield fh
+                fh.flush()
+                os.fsync(fh.fileno())
             os.replace(temp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -175,6 +191,12 @@ def replacing(path: str) -> Iterator[BinaryIO]:
             # name the target, not the temporary file, as a direct write would
             exc = OSError(exc.errno, exc.strerror, path)
         raise StorageError(f"cannot write {path}: {exc}") from exc
+    with contextlib.suppress(OSError):
+        fd = os.open(directory, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _parse_header(raw: bytes | bytearray, path: str) -> dict:
@@ -329,9 +351,9 @@ class TensorFile:
 
     def read_range(self, name: str, start: int, stop: int) -> np.ndarray:
         """Flat entries ``[start, stop)`` of tensor ``name``, read at their
-        offset and checked for non-finite values, as :meth:`read` is."""
-        if not 0 <= start <= stop <= math.prod(self.shapes[name]):
-            raise ParameterError(f"range [{start}, {stop}) is outside tensor {name!r}")
+        offset and checked for non-finite values, as :meth:`read` is (the
+        range as :class:`CheckedBlock` says for ``part``)."""
+        start, stop = _checked_range(start, stop, math.prod(self.shapes[name]), name)
         payload = np.empty(4 * (stop - start), dtype=np.uint8)
         offset = self._base + self._begins[name] + 4 * start
         try:

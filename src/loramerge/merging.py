@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, concat_svd
-from .container import CheckedBlock, _slices
+from .container import CheckedBlock, _checked_range, _slices
 from .errors import AlignmentError, DataError, ParameterError, is_finite, is_integer, is_real
 from .rng import uniform_stream
 
@@ -574,6 +574,7 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
         return not knots and _trim_count(config.density, size) >= size
 
     def merged_part(layer: str, start: int, stop: int) -> np.ndarray:
+        start, stop = _checked_range(start, stop, math.prod(deltas[0].layers[layer].shape), layer)
         sources = [_source(d.layers[layer], d.label, layer, drop_rate, config.seed) for d in deltas]
         return _ties_layer(sources, (stop - start,), w, start)
 

@@ -34,16 +34,22 @@ def _is_punct(token: str) -> bool:
     return all(unicodedata.category(ch).startswith("P") for ch in token)
 
 
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"text must be a string, got {value!r}")
+    return value
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, drop punctuation-only tokens."""
-    return [t for t in text.lower().split() if not _is_punct(t)]
+    return [t for t in _text(text).lower().split() if not _is_punct(t)]
 
 
 def _check_pairs(pairs: Sequence[tuple[str, str]]) -> None:
     if not pairs:
         raise ParameterError("no labelled predictions given")
     for gold, pred in pairs:
-        if not gold or not pred:
+        if not (isinstance(gold, str) and isinstance(pred, str) and gold and pred):
             raise ValidationError("labels must be non-empty strings")
 
 
@@ -133,7 +139,7 @@ def rouge_l(reference: str, candidate: str) -> PRF:
 
 
 def _normalize_for_match(text: str) -> str:
-    return " ".join(text.split()).lower()
+    return " ".join(_text(text).split()).lower()
 
 
 def hallucination_rate(records: Sequence[tuple[str, Sequence[str]]]) -> float:

@@ -9,6 +9,7 @@ from loramerge import (
     FormatError,
     LoraAdapter,
     LowRankBlock,
+    NumericalError,
     PairingError,
     ParameterError,
     TensorBlock,
@@ -175,6 +176,12 @@ class TestAdapterValidation:
     def test_empty_layers_rejected(self):
         with pytest.raises(ValidationError):
             LoraAdapter({}, 2, 2.0)
+        with pytest.raises(ValidationError, match="^delta map has no layers$"):
+            DeltaMap({})
+
+    def test_factor_that_is_not_2d_rejected(self):
+        with pytest.raises(ValidationError, match="^layer 'layer0': A and B must be 2-D$"):
+            _adapter_1layer(np.zeros(3), np.zeros((4, 1)), rank=1, alpha=1.0)
 
     def test_bad_alpha_rejected(self):
         with pytest.raises(ValidationError):
@@ -453,6 +460,16 @@ class TestRefactor:
         delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")
         with pytest.raises(ParameterError):
             refactor_to_adapter(delta, 3)
+
+    def test_svd_not_converging_is_numerical_error(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")
+        adapter = refactor_to_adapter(delta, 1)  # the SVD runs when a factor is read
+        with pytest.raises(NumericalError, match="^SVD did not converge on layer 'l'$"):
+            adapter.layers["l"][0].values
 
     def test_boolean_rank_rejected(self):
         delta = DeltaMap.from_arrays({"l": np.ones((3, 2), np.float32)}, "x")

@@ -190,6 +190,22 @@ class TestMergeCommand:
         assert "error[numerical]:" in capsys.readouterr().err
 
 
+    def test_svd_not_converging_is_exit_3(self, workspace, capsys, monkeypatch):
+        tmp_path, adapters, config_path = workspace
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        out = str(tmp_path / "m.tnsr")
+        paths = [path for _, path in adapters.values()]
+        argv = ["merge", "--config", config_path, "--refactor-rank", "1", "--out", out, *paths]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[numerical]: SVD did not converge on layer ")
+        assert not os.path.exists(out)
+
+
 def _write_config(path, pipeline, **extra):
     with open(path, "w") as fh:
         json.dump({"pipeline": pipeline, "density": 0.5, **extra}, fh)

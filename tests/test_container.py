@@ -2,6 +2,7 @@ import errno
 import math
 import os
 import re
+import stat
 import struct
 import tracemalloc
 from pathlib import Path
@@ -255,6 +256,35 @@ def test_merged_layer_gives_its_bytes_by_any_slab_and_range(tmp_path, monkeypatc
     assert merged().layers["w"].part(5, 70001).tobytes() == whole.ravel()[5:70001].tobytes()
 
 
+@pytest.mark.parametrize(
+    "pipeline", [None, ("TIES",), ("DARE", "TIES")], ids=["delta-file", "ties", "dare-ties"]
+)
+def test_every_part_has_one_range_contract(tmp_path, monkeypatch, pipeline):
+    """A delta file's layer and a streamed merged layer take the same ranges,
+    and reject any other naming their own tensor before reading an input."""
+    rng = np.random.default_rng(3040)
+    paths = []
+    for label in ("en", "de"):
+        paths.append(str(tmp_path / f"{label}.tnsr"))
+        save_delta(DeltaMap.from_arrays({"w": rng.standard_normal((30, 40))}, label), paths[-1])
+    if pipeline is None:
+        layer, name = load_delta(paths[0]).layers["w"], "w.delta"
+    else:
+        config = MergeConfig(pipeline, density=1.0, drop_rate=0.3)
+        layer, name = merging.lazy_merge([load_delta(p) for p in paths], config).layers["w"], "w"
+    whole = layer.values.ravel()
+    reads = []
+    read_at = container._read_at
+    monkeypatch.setattr(container, "_read_at", lambda *args: reads.append(args) or read_at(*args))
+    for start, stop in [(5, 4), (-1, 4), (0, whole.size + 1), (True, 3), (0, 2.0)]:
+        message = f"range [{start}, {stop}) is outside tensor {name!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            layer.part(start, stop)
+    assert reads == []
+    for start, stop in [(np.int64(3), np.int64(9)), (5, 5)]:
+        assert layer.part(start, stop).tobytes() == whole[start:stop].tobytes()
+
+
 class TestSlabs:
     """Every tensor is written ``_SLAB`` entries at a time, each slab at its
     offset, in order; a block with a ``part`` forms each slab in turn."""
@@ -349,8 +379,15 @@ def test_unaligned_header_round_trips_read_only(tmp_path):
 def test_truncated_payload_is_format_error_but_header_reads(tmp_path):
     path = str(tmp_path / "cut.tnsr")
     write_tensors(path, {"a.delta": np.ones((4, 4), dtype=np.float32)}, {"label": "x"})
+    source = TensorFile(path)
     with open(path, "r+b") as fh:
         fh.truncate(os.path.getsize(path) - 3)
+    try:
+        # cut after the layout was checked: the read itself comes up short
+        with pytest.raises(FormatError, match=f"^{re.escape(path)}: file ended 3 bytes early$"):
+            source.read("a.delta")
+    finally:
+        source.close()
     with pytest.raises(FormatError):
         read_tensors(path)
     # inspecting reads the header alone, so a cut payload does not stop it
@@ -373,6 +410,56 @@ def test_failed_write_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.tnsr"]
     with open(path, "rb") as fh:
         assert fh.read() == before
+
+
+def test_output_is_synced_before_the_rename_and_its_directory_after(tmp_path, monkeypatch):
+    calls = []
+    fsync, replace = os.fsync, os.replace
+
+    def logged_fsync(fd):
+        calls.append("fsync directory" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        calls.append("replace")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    path = str(tmp_path / "out.tnsr")
+    write_tensors(path, {"a.delta": np.ones((2, 2), dtype=np.float32)}, {"label": "x"})
+    assert calls == ["fsync file", "replace", "fsync directory"]
+
+
+def test_failed_file_sync_leaves_target_and_no_temp_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "out.tnsr")
+    write_tensors(path, {"a.delta": np.ones((2, 2), dtype=np.float32)}, {"label": "old"})
+    before = Path(path).read_bytes()
+
+    def fail(fd):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "fsync", fail)
+    with pytest.raises(StorageError) as info:
+        write_tensors(path, {"a.delta": np.zeros((2, 2), dtype=np.float32)}, {"label": "new"})
+    assert str(info.value) == f"cannot write {path}: [Errno {errno.EIO}] {os.strerror(errno.EIO)}"
+    assert os.listdir(tmp_path) == ["out.tnsr"]
+    assert Path(path).read_bytes() == before
+
+
+def test_directory_that_cannot_be_synced_still_gets_the_output(tmp_path, monkeypatch):
+    fsync = os.fsync
+
+    def refuse_directories(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", refuse_directories)
+    path = str(tmp_path / "out.tnsr")
+    write_tensors(path, {"a.delta": np.ones((2, 2), dtype=np.float32)}, {"label": "x"})
+    assert read_tensors(path)[0]["a.delta"].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert os.listdir(tmp_path) == ["out.tnsr"]
 
 
 def test_header_with_a_lone_surrogate_is_format_error(tmp_path):
@@ -477,7 +564,7 @@ class TestReadRange:
             source.close()
         assert part.tobytes() == values.ravel()[100000:100100].tobytes()
 
-    @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 154501)])
+    @pytest.mark.parametrize("start, stop", [(-1, 4), (5, 4), (0, 154501), (True, 3), (0, 2.0)])
     def test_range_outside_the_tensor_rejected(self, tmp_path, start, stop):
         path = str(tmp_path / "t.tnsr")
         self._write(path, self._values())

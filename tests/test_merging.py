@@ -147,6 +147,8 @@ class TestMergeConfig:
     def test_weights_must_be_numeric(self):
         with pytest.raises(ParameterError):
             MergeConfig(("TIES",), weights=("heavy", 1.0))
+        with pytest.raises(ParameterError, match="^weights must be numbers, got 5$"):
+            MergeConfig(("TIES",), weights=5)
 
     def test_weight_vector_count_check(self):
         config = MergeConfig(("TIES",), weights=(1.0, 2.0))

@@ -28,6 +28,17 @@ class TestTokenize:
     def test_unicode_whitespace(self):
         assert tokenize("a b") == ["a", "b"]
 
+    def test_non_string_text_rejected(self):
+        for call in (
+            lambda: tokenize(5),
+            lambda: tokenize(b"a b"),
+            lambda: rouge_n("a", 5, 1),
+            lambda: rouge_l("a", 5),
+            lambda: rouge_l(None, "a"),
+        ):
+            with pytest.raises(ValidationError, match="^text must be a string, got "):
+                call()
+
 
 class TestAccuracy:
     def test_all_correct(self):
@@ -45,8 +56,10 @@ class TestAccuracy:
             accuracy([])
 
     def test_empty_label_rejected(self):
-        with pytest.raises(ValidationError):
-            accuracy([("a", "")])
+        for pairs in ([("a", "")], [(1, 1)], [(1, "a")], [("a", b"a")]):
+            for metric in (accuracy, macro_prf):
+                with pytest.raises(ValidationError, match="^labels must be non-empty strings$"):
+                    metric(pairs)
 
     def test_equals_micro_precision_and_recall(self):
         pairs = [("a", "a"), ("a", "b"), ("b", "b"), ("c", "b"), ("c", "c")]
@@ -130,6 +143,10 @@ class TestRougeL:
         with pytest.raises(ParameterError, match="^reference is empty after tokenization$"):
             rouge_l("!!", "a b")
 
+    def test_punctuation_only_candidate_rejected(self):
+        with pytest.raises(ParameterError, match="^candidate is empty after tokenization$"):
+            rouge_l("a b", "!!")
+
     def test_reordered_tokens_fixture(self):
         precision, recall, f1 = rouge_l("a b c d", "a c d b")
         assert precision == 0.75
@@ -211,6 +228,9 @@ class TestHallucination:
     def test_empty_source_rejected(self):
         with pytest.raises(ValidationError):
             hallucination_rate([("", ["x"])])
+        for records in ([(5, ["x"])], [("a", [5])], [("a b", ["a", None])]):
+            with pytest.raises(ValidationError, match="^text must be a string, got "):
+                hallucination_rate(records)
 
 
 class TestEvaluateTask:
