@@ -38,7 +38,7 @@ from .errors import (
     ParameterError,
     ValidationError,
     is_finite,
-    is_integer,
+    positive_integer,
 )
 
 _A_SUFFIX = ".lora_A"
@@ -250,8 +250,7 @@ class LoraAdapter:
         if not self.layers:
             raise ValidationError("adapter has no layers")
         _check_label(self.label)
-        if not is_integer(self.rank) or self.rank < 1:
-            raise ValidationError(f"rank must be a positive integer, got {self.rank!r}")
+        object.__setattr__(self, "rank", positive_integer(self.rank, "rank", ValidationError))
         if not (is_finite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
         for layer, (a, b) in self.layers.items():
@@ -338,12 +337,10 @@ def load_adapter(path: str) -> LoraAdapter:
     """Read and validate an adapter container file."""
     tensors, metadata = container.read_tensors(path)
     a_names, b_names = _layer_names(path, tensors, (_A_SUFFIX, _B_SUFFIX)).values()
-    missing_b = sorted(set(a_names) - set(b_names))
-    missing_a = sorted(set(b_names) - set(a_names))
-    if missing_b:
-        raise PairingError(f"{path}: missing lora_B for layer {missing_b[0]!r}")
-    if missing_a:
-        raise PairingError(f"{path}: missing lora_A for layer {missing_a[0]!r}")
+    for have, other, factor in ((a_names, b_names, "lora_B"), (b_names, a_names, "lora_A")):
+        missing = sorted(set(have) - set(other))
+        if missing:
+            raise PairingError(f"{path}: missing {factor} for layer {missing[0]!r}")
     for key in ("rank", "alpha", "label"):
         if key not in metadata:
             raise FormatError(f"{path}: adapter metadata is missing {key!r}")
@@ -413,8 +410,7 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     written (:func:`_pending_factors`).
     """
     delta.validate()
-    if not is_integer(rank) or rank < 1:
-        raise ParameterError(f"refactor rank must be a positive integer, got {rank!r}")
+    rank = positive_integer(rank, "refactor rank", ParameterError)
     for layer, block in delta.layers.items():
         if rank > min(block.shape):
             raise ParameterError(

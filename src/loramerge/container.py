@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-import numbers
 import os
 import struct
 import threading
@@ -84,8 +83,7 @@ class CheckedBlock:
 
 def _checked_range(start, stop, size: int, name: str) -> tuple[int, int]:
     """``part``'s bounds as ints, for tensor ``name`` of ``size`` entries."""
-    ints = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in (start, stop))
-    if not (ints and 0 <= start <= stop <= size):
+    if not (is_integer(start) and is_integer(stop) and 0 <= int(start) <= int(stop) <= size):
         raise ParameterError(f"range [{start}, {stop}) is outside tensor {name!r}")
     return int(start), int(stop)
 

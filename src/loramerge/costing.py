@@ -28,9 +28,10 @@ from .errors import (
     ParameterError,
     ReductionUndefinedError,
     ValidationError,
+    check_config_keys,
     is_finite,
-    is_integer,
     is_real,
+    positive_integer,
 )
 
 
@@ -61,8 +62,7 @@ def reduction_pct(baseline: float, value: float) -> float:
 
 def lpt_makespan(hours: Iterable[float], slots: int) -> float:
     """Makespan of greedy longest-processing-time-first on ``slots`` machines."""
-    if not is_integer(slots) or slots < 1:
-        raise ParameterError(f"parallel slots must be a positive integer, got {slots!r}")
+    slots = positive_integer(slots, "parallel slots", ParameterError)
     jobs = [_require_non_negative(h, f"job {i} hours", ParameterError) for i, h in enumerate(hours)]
     jobs.sort(reverse=True)
     if not jobs:
@@ -93,10 +93,6 @@ def _check_non_negative(obj, names: Iterable[str], prefix: str = "") -> None:
     """Replace each named field of a frozen dataclass by its checked float."""
     for name in names:
         object.__setattr__(obj, name, _require_non_negative(getattr(obj, name), prefix + name))
-
-
-def _field_names(cls) -> set[str]:
-    return {f.name for f in fields(cls)}
 
 
 @dataclass(frozen=True)
@@ -145,9 +141,8 @@ class CostScenario:
         }
         object.__setattr__(self, "per_language_hours", hours)
         _check_non_negative(self, ("combined_hours", "merge_overhead_hours"))
-        slots = self.parallel_slots
-        if not is_integer(slots) or slots < 1:
-            raise ValidationError(f"parallel_slots must be a positive integer, got {slots!r}")
+        slots = positive_integer(self.parallel_slots, "parallel_slots", ValidationError)
+        object.__setattr__(self, "parallel_slots", slots)
         _check_non_negative(self, ("rate_per_gpu_hour",))
         gpus = _require_number(self.combined_gpus, "combined_gpus")
         if gpus <= 0:
@@ -301,11 +296,7 @@ def _render_block(title: str, rows: list[tuple[str, str, str]]) -> str:
 
 
 def scenario_from_json_dict(doc: dict) -> CostScenario:
-    if not isinstance(doc, dict):
-        raise ParameterError("scenario must be a JSON object")
-    unknown = sorted(set(doc) - _field_names(CostScenario))
-    if unknown:
-        raise ParameterError(f"unknown scenario keys: {unknown}")
+    check_config_keys(doc, "scenario", CostScenario)
     for f in fields(CostScenario):
         if f.default is MISSING and f.name not in doc:
             raise ParameterError(f"scenario is missing {f.name!r}")
@@ -314,14 +305,14 @@ def scenario_from_json_dict(doc: dict) -> CostScenario:
 
     update = doc.get("update")
     if update is not None:
-        keys = _field_names(LanguageUpdate)
+        keys = {f.name for f in fields(LanguageUpdate)}
         if not isinstance(update, dict) or set(update) != keys:
             raise ParameterError(f"update must carry exactly {sorted(keys)}")
         update = LanguageUpdate(**update)
 
     measured = doc.get("measured")
     if measured is not None:
-        keys = _field_names(MeasuredCosts)
+        keys = {f.name for f in fields(MeasuredCosts)}
         if not isinstance(measured, dict) or not set(measured) <= keys:
             raise ParameterError(f"measured keys must be among {sorted(keys)}")
         measured = MeasuredCosts(**measured)

@@ -4,11 +4,13 @@ Every error carries a short machine-readable ``code`` (stable, used as the
 one-line prefix on the CLI error stream) and the process exit code the CLI
 maps it to: 1 for validation problems, 2 for I/O, 3 for numerical failures.
 It also holds the one rule for what counts as a number in outside input:
-a string is not one, nor a bool (what a JSON true parses to); and the one
+a string is not one, nor a bool (what a JSON true parses to); the one
 rule for a finite one: it converts to a finite float, which a JSON integer
-too large for a float does not.
+too large for a float does not; and the one rule for an integer: a Python
+or numpy integer, never a bool, taken on as a Python ``int``.
 """
 
+import dataclasses
 import math
 import numbers
 
@@ -18,16 +20,29 @@ def is_real(value) -> bool:
 
 
 def is_finite(value) -> bool:
-    if not is_real(value):
-        return False
     try:
-        return math.isfinite(value)
+        return is_real(value) and math.isfinite(value)
     except OverflowError:  # an int past float range
         return False
 
 
 def is_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def positive_integer(value, what: str, error: type) -> int:
+    if not (is_integer(value) and int(value) >= 1):
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def check_config_keys(doc, what: str, cls) -> None:
+    """A JSON ``what`` must be an object whose keys are fields of ``cls``."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ParameterError(f"unknown {what} keys: {unknown}")
 
 
 class LoramergeError(Exception):

@@ -55,8 +55,9 @@ import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, concat_svd
 from .container import CheckedBlock, _checked_range, _slices
-from .errors import AlignmentError, DataError, ParameterError, is_finite, is_integer, is_real
-from .rng import uniform_stream
+from .errors import AlignmentError, DataError, ParameterError, check_config_keys, is_finite
+from .errors import is_integer, is_real
+from .rng import checked_seed, uniform_stream
 
 _PIPELINES = {
     ("TIES",),
@@ -128,8 +129,7 @@ class MergeConfig:
                     f"weights must sum to below about 5.28e269, got {sum(weights):g}"
                 )
             object.__setattr__(self, "weights", weights)
-        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", checked_seed(self.seed))
 
     @property
     def effective_drop_rate(self) -> float:
@@ -162,11 +162,7 @@ class MergeConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MergeConfig":
-        if not isinstance(doc, dict):
-            raise ParameterError("merge config must be a JSON object")
-        unknown = sorted(set(doc) - {f.name for f in dataclasses.fields(cls)})
-        if unknown:
-            raise ParameterError(f"unknown merge config keys: {unknown}")
+        check_config_keys(doc, "merge config", cls)
         kwargs = dict(doc)
         for key, kind in (("pipeline", "a list of method names"), ("weights", "a list of numbers")):
             if key in kwargs:

@@ -95,18 +95,20 @@ def _prf_from_counts(overlap: int, candidate_total: int, reference_total: int) -
     return PRF(precision, recall, f1)
 
 
+def _token_pair(reference: str, candidate: str) -> tuple[list[str], list[str]]:
+    """Both texts' tokens; ParameterError if either has none."""
+    pair = tokenize(reference), tokenize(candidate)
+    for what, tokens in zip(("reference", "candidate"), pair):
+        if not tokens:
+            raise ParameterError(f"{what} is empty after tokenization")
+    return pair
+
+
 def rouge_n(reference: str, candidate: str, n: int) -> PRF:
     """Clipped n-gram overlap precision/recall/F1 (n is 1 or 2)."""
     if not (is_integer(n) and n in (1, 2)):
         raise ParameterError(f"n must be 1 or 2, got {n!r}")
-    ref_tokens = tokenize(reference)
-    cand_tokens = tokenize(candidate)
-    if not ref_tokens:
-        raise ParameterError("reference is empty after tokenization")
-    if not cand_tokens:
-        raise ParameterError("candidate is empty after tokenization")
-    ref_counts = _ngram_counts(ref_tokens, n)
-    cand_counts = _ngram_counts(cand_tokens, n)
+    ref_counts, cand_counts = (_ngram_counts(t, int(n)) for t in _token_pair(reference, candidate))
     overlap = sum(min(count, ref_counts[gram]) for gram, count in cand_counts.items())
     return _prf_from_counts(overlap, sum(cand_counts.values()), sum(ref_counts.values()))
 
@@ -128,12 +130,7 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 
 def rouge_l(reference: str, candidate: str) -> PRF:
     """Longest-common-subsequence precision/recall/F1 over token sequences."""
-    ref_tokens = tokenize(reference)
-    cand_tokens = tokenize(candidate)
-    if not ref_tokens:
-        raise ParameterError("reference is empty after tokenization")
-    if not cand_tokens:
-        raise ParameterError("candidate is empty after tokenization")
+    ref_tokens, cand_tokens = _token_pair(reference, candidate)
     lcs = _lcs_length(ref_tokens, cand_tokens)
     return _prf_from_counts(lcs, len(cand_tokens), len(ref_tokens))
 
@@ -154,6 +151,8 @@ def hallucination_rate(records: Sequence[tuple[str, Sequence[str]]]) -> float:
         if not source:
             raise ValidationError("extraction record has an empty source text")
         normalized_source = _normalize_for_match(source)
+        if isinstance(examples, str):
+            raise ValidationError(f"examples must be a sequence of strings, got {examples!r}")
         for example in examples:
             total += 1
             if _normalize_for_match(example) not in normalized_source:

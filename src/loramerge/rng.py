@@ -14,13 +14,17 @@ import numpy as np
 
 from .errors import ParameterError, is_integer
 
-_SEED_MAX = 2**64
+
+def checked_seed(seed) -> int:
+    """``seed`` as an ``int``; ParameterError unless it is an integer in [0, 2**64)."""
+    if not (is_integer(seed) and 0 <= int(seed) < 2**64):
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    return int(seed)
 
 
 def stream_key(seed: int, label: str, name: str) -> int:
     """Derive a 128-bit Philox key from the (seed, label, name) triple."""
-    if not is_integer(seed) or not 0 <= seed < _SEED_MAX:
-        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+    seed = checked_seed(seed)
     import hashlib  # here, not at the top: a merge without DARE never loads OpenSSL
 
     digest = hashlib.blake2b(digest_size=16)
@@ -44,8 +48,9 @@ def uniform_stream(
     one, so the draw begins at counter ``start // 4`` and the ``start % 4``
     uniforms before ``start`` are drawn and dropped.
     """
-    if not is_integer(start) or start < 0:
+    if not (is_integer(start) and int(start) >= 0):
         raise ParameterError(f"stream start must be a non-negative integer, got {start!r}")
+    start = int(start)
     skip = start % 4
     bitgen = np.random.Philox(key=stream_key(seed, label, name), counter=start // 4)
     return np.random.Generator(bitgen).random(count + skip)[skip:]

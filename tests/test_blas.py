@@ -7,13 +7,14 @@ from loramerge import blas
 from loramerge.adapters import LowRankBlock
 
 _calls = blas._thread_calls()
-pytestmark = pytest.mark.skipif(_calls is None, reason="the BLAS has no thread-count calls")
 
 
 @pytest.fixture
 def get():
     """The BLAS thread-count getter, with the count set to 2 for the test
-    and put back afterwards."""
+    and put back afterwards; the test is skipped without one."""
+    if _calls is None:
+        pytest.skip("the BLAS has no thread-count calls")
     get, set_ = _calls
     before = get()
     set_(2)
@@ -90,3 +91,14 @@ def test_densify_runs_on_one_thread(get):
     assert block.values.shape == (515, 300)
     assert seen == [1]
     assert get() == 2
+
+
+def test_without_thread_calls_the_body_runs_and_nothing_is_set(monkeypatch):
+    before = _calls[0]() if _calls is not None else None
+    monkeypatch.setattr(blas, "_thread_calls", lambda: None)
+    ran = []
+    with blas.one_thread():
+        ran.append(blas._depth)
+        if _calls is not None:
+            assert _calls[0]() == before
+    assert ran == [0] and blas._depth == 0

@@ -1583,6 +1583,18 @@ class TestInspectCommand:
         assert run(["inspect", str(tmp_path / "absent.tnsr")]) == 2
         assert "error[io]:" in capsys.readouterr().err
 
+    def test_closed_stdout_is_exit_2(self, workspace, capsys, monkeypatch):
+        _, adapters, _ = workspace
+        _, path = adapters["en"]
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["inspect", path]) == 2
+        assert capsys.readouterr().err == f"error[io]: [Errno 32] {os.strerror(errno.EPIPE)}\n"
+
 
 class TestParsing:
     def test_unknown_flag_is_exit_1(self, capsys):

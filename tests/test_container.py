@@ -233,6 +233,27 @@ def test_write_checks_array_likes_that_are_not_blocks(tmp_path):
     assert read_tensors(path)[0]["a"].tolist() == [[1.0, 2.0]]
 
 
+def test_block_that_forms_the_wrong_shape_is_format_error(tmp_path):
+    block = PendingBlock("w", (3, 4), lambda: np.ones((4, 3), np.float32))
+    with pytest.raises(FormatError, match=r"^tensor 'w' is \(4, 3\), its block says \(3, 4\)$"):
+        write_tensors(str(tmp_path / "w.tnsr"), {"w": block})
+    assert os.listdir(tmp_path) == []
+
+
+def test_failed_range_read_is_storage_error(tmp_path, monkeypatch):
+    path = str(tmp_path / "en.tnsr")
+    save_delta(DeltaMap.from_arrays({"w": np.ones((3, 4))}, "en"), path)
+    layer = load_delta(path).layers["w"]
+
+    def fail(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(container, "_read_at", fail)
+    message = f"cannot read {path}: [Errno 5] {os.strerror(errno.EIO)}"
+    with pytest.raises(StorageError, match=f"^{re.escape(message)}$"):
+        layer.part(0, 5)
+
+
 def test_merged_layer_gives_its_bytes_by_any_slab_and_range(tmp_path, monkeypatch):
     """A streamed DARE+TIES merge of delta files is written with the same
     bytes whether or not its slabs start on a merge chunk, and any range of

@@ -154,6 +154,9 @@ class TestScenario:
     def test_unknown_key_rejected(self):
         with pytest.raises(ParameterError):
             scenario_from_json_dict({**SMALL_ROLLOUT, "gpu_count": 8})
+        message = "unknown scenario keys: ['a_gpu', 'gpu_count']"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            scenario_from_json_dict({"gpu_count": 8, **SMALL_ROLLOUT, "a_gpu": 1})
 
     def test_missing_required_key_rejected(self):
         with pytest.raises(ParameterError):

@@ -1,6 +1,7 @@
 import collections
 import hashlib
 import math
+import re
 import sys
 import threading
 import time
@@ -175,6 +176,9 @@ class TestMergeConfig:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ParameterError):
             MergeConfig.from_json_dict({"pipeline": ["TIES"], "dencity": 0.5})
+        message = "unknown merge config keys: ['dencity', 'rng']"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            MergeConfig.from_json_dict({"rng": 1, "pipeline": ["TIES"], "dencity": 0.5})
 
 
 class TestTrim:

@@ -231,6 +231,10 @@ class TestHallucination:
         for records in ([(5, ["x"])], [("a", [5])], [("a b", ["a", None])]):
             with pytest.raises(ValidationError, match="^text must be a string, got "):
                 hallucination_rate(records)
+        # a bare string is not a sequence of examples, one per character
+        message = "^examples must be a sequence of strings, got 'xy'$"
+        with pytest.raises(ValidationError, match=message):
+            hallucination_rate([("abc", "xy")])
 
 
 class TestEvaluateTask:
