@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -112,6 +113,8 @@ class LowRankBlock(container.CheckedBlock):
         right.setflags(write=False)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        if not is_finite(self.scale):
+            raise ValidationError(f"tensor {self.name!r}: scale must be finite, got {self.scale!r}")
         object.__setattr__(self, "scale", float(self.scale))
         # finite factors can still overflow float32 in the product; its entries
         # are at most |scale| * max row norm * max column norm (Cauchy-Schwarz),
@@ -228,59 +231,65 @@ def _values(made: "np.ndarray | TensorBlock | LowRankBlock") -> np.ndarray:
     return made if isinstance(made, np.ndarray) else made.values
 
 
-def _check_label(label) -> None:
-    if not isinstance(label, str):
-        raise ValidationError(f"label must be a string, got {label!r}")
+def _layers_copy(owner, what: str) -> dict:
+    """``owner.layers`` copied; ValidationError if it is empty or the label is not a string."""
+    layers = dict(owner.layers or {})
+    if not layers:
+        raise ValidationError(f"{what} has no layers")
+    if not isinstance(owner.label, str):
+        raise ValidationError(f"label must be a string, got {owner.label!r}")
+    return layers
 
 
 @dataclass(frozen=True, eq=False)
 class LoraAdapter:
     """Per-layer (A, B) factor pairs sharing one rank and alpha; a pair may
-    be pending (see :func:`refactor_to_adapter`)."""
+    be pending (see :func:`refactor_to_adapter`).  Checked once, when built:
+    ``layers`` is then a read-only copy, each pair a tuple of two blocks."""
 
-    layers: dict[str, tuple[TensorBlock, TensorBlock] | tuple[PendingBlock, PendingBlock]]
+    layers: Mapping[str, tuple[container.CheckedBlock, container.CheckedBlock]]
     rank: int
     alpha: float
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.layers:
-            raise ValidationError("adapter has no layers")
-        _check_label(self.label)
-        object.__setattr__(self, "rank", positive_integer(self.rank, "rank", ValidationError))
+        layers = _layers_copy(self, "adapter")
+        rank = positive_integer(self.rank, "rank", ValidationError)
         if not (is_finite(self.alpha) and self.alpha > 0):
             raise ValidationError(f"alpha must be positive and finite, got {self.alpha!r}")
-        for layer, (a, b) in self.layers.items():
+        for layer, pair in layers.items():
+            layers[layer] = pair = tuple(pair) if isinstance(pair, (tuple, list)) else ()
+            if len(pair) != 2 or not all(isinstance(f, container.CheckedBlock) for f in pair):
+                raise ValidationError(f"layer {layer!r}: must be two blocks (A, B)")
+            a, b = pair
             if len(a.shape) != 2 or len(b.shape) != 2:
                 raise ValidationError(f"layer {layer!r}: A and B must be 2-D")
-            if a.shape[0] != self.rank or b.shape[1] != self.rank:
+            if a.shape[0] != rank or b.shape[1] != rank:
                 raise ValidationError(
                     f"layer {layer!r}: A is {a.shape}, B is {b.shape}, "
-                    f"but rank is {self.rank}"
+                    f"but rank is {rank}"
                 )
+        object.__setattr__(self, "layers", MappingProxyType(layers))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True, eq=False)
 class DeltaMap:
     """Per-layer delta tensors for one labelled model, dense, low-rank or
-    pending."""
+    pending.  Checked once, when built: ``layers`` is then a read-only copy."""
 
-    layers: dict[str, TensorBlock | LowRankBlock | PendingBlock]
+    layers: Mapping[str, container.CheckedBlock]
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if not self.layers:
-            raise ValidationError("delta map has no layers")
-        _check_label(self.label)
-        for layer, block in self.layers.items():
+        layers = _layers_copy(self, "delta map")
+        for layer, block in layers.items():
+            if not isinstance(block, container.CheckedBlock):
+                raise ValidationError(f"layer {layer!r}: delta must be a block")
             if len(block.shape) != 2:
                 raise ValidationError(f"layer {layer!r}: delta must be 2-D, got {block.shape}")
+        object.__setattr__(self, "layers", MappingProxyType(layers))
 
     @classmethod
     def from_arrays(cls, layers: Mapping[str, np.ndarray], label: str = "") -> "DeltaMap":
@@ -293,8 +302,7 @@ def compute_delta(adapter: LoraAdapter) -> DeltaMap:
     Reading a layer's ``values`` accumulates the product in float64 and
     rounds it once to float32.
     """
-    adapter.validate()
-    scale = float(adapter.alpha) / float(adapter.rank)
+    scale = adapter.alpha / adapter.rank
     layers = {
         layer: LowRankBlock(layer, b.values, a.values, scale)
         for layer, (a, b) in adapter.layers.items()
@@ -303,18 +311,15 @@ def compute_delta(adapter: LoraAdapter) -> DeltaMap:
 
 
 def save_adapter(adapter: LoraAdapter, path: str) -> None:
-    """Write an adapter; revalidates first so nothing is written on failure.
-
-    Pending factors are formed one layer at a time, as they are written.
-    """
-    adapter.validate()
+    """Write an adapter; pending factors are formed one layer at a time, as
+    they are written."""
     tensors = {}
     for layer, (a, b) in adapter.layers.items():
         tensors[layer + _A_SUFFIX] = a
         tensors[layer + _B_SUFFIX] = b
     metadata = {
         "rank": str(adapter.rank),
-        "alpha": repr(float(adapter.alpha)),
+        "alpha": repr(adapter.alpha),
         "label": adapter.label,
     }
     container.write_tensors(path, tensors, metadata)
@@ -334,7 +339,7 @@ def _layer_names(path: str, names: Iterable[str], suffixes: tuple[str, ...]) -> 
 
 
 def load_adapter(path: str) -> LoraAdapter:
-    """Read and validate an adapter container file."""
+    """Read an adapter container file; the adapter is checked as it is built."""
     tensors, metadata = container.read_tensors(path)
     a_names, b_names = _layer_names(path, tensors, (_A_SUFFIX, _B_SUFFIX)).values()
     for have, other, factor in ((a_names, b_names, "lora_B"), (b_names, a_names, "lora_A")):
@@ -358,7 +363,6 @@ def load_adapter(path: str) -> LoraAdapter:
 def save_delta(delta: DeltaMap, path: str) -> None:
     """Write a delta; a layer not held in memory (low-rank or pending) is
     formed when its turn to be written comes."""
-    delta.validate()
     tensors = {layer + _DELTA_SUFFIX: block for layer, block in delta.layers.items()}
     container.write_tensors(path, tensors, {"label": delta.label})
 
@@ -409,7 +413,6 @@ def refactor_to_adapter(delta: DeltaMap, rank: int) -> LoraAdapter:
     runs, and raises any NumericalError, when a factor is first read or
     written (:func:`_pending_factors`).
     """
-    delta.validate()
     rank = positive_integer(rank, "refactor rank", ParameterError)
     for layer, block in delta.layers.items():
         if rank > min(block.shape):

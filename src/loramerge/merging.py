@@ -345,9 +345,9 @@ def dare_prune(delta: DeltaMap, drop_rate: float, seed: int = 0) -> DeltaMap:
     Drops come from a counter-based stream keyed by (seed, map label,
     tensor name), so results are reproducible and schedule-independent.
     """
-    drop_rate = MergeConfig(drop_rate=drop_rate).drop_rate
+    drop_rate = MergeConfig(drop_rate=drop_rate, seed=seed).drop_rate
     if drop_rate == 0.0:
-        return DeltaMap(dict(delta.layers), delta.label)
+        return delta  # read-only: nothing to copy
     layers = {
         layer: TensorBlock(b.name, _whole(b, delta.label, layer, drop_rate, seed))
         for layer, b in delta.layers.items()

@@ -50,7 +50,10 @@ def uniform_stream(
     """
     if not (is_integer(start) and int(start) >= 0):
         raise ParameterError(f"stream start must be a non-negative integer, got {start!r}")
+    if not (is_integer(count) and int(count) >= 0):
+        raise ParameterError(f"stream count must be a non-negative integer, got {count!r}")
     start = int(start)
+    count = int(count)
     skip = start % 4
     bitgen = np.random.Philox(key=stream_key(seed, label, name), counter=start // 4)
     return np.random.Generator(bitgen).random(count + skip)[skip:]

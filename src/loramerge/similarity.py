@@ -26,7 +26,6 @@ _TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 def flatten(delta: DeltaMap) -> np.ndarray:
     """One float32 vector: layers in lexicographic order, row-major within."""
-    delta.validate()
     return np.concatenate([delta.layers[k].values.ravel() for k in sorted(delta.layers)])
 
 

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,15 @@ class TestLowRankBlock:
     def test_overflowing_product_rejected_at_construction(self):
         with pytest.raises(DataError, match="tensor 'l'"):
             LowRankBlock("l", np.full((3, 1), 2e19), np.full((1, 3), 1e19), 2.0)
+
+    @pytest.mark.parametrize(
+        "scale", ["2", True, float("nan"), float("inf"), -float("inf")],
+        ids=["string", "bool", "nan", "inf", "-inf"],
+    )
+    def test_scale_that_is_not_a_finite_number_rejected(self, scale):
+        message = f"^tensor 'l': scale must be finite, got {re.escape(repr(scale))}$"
+        with pytest.raises(ValidationError, match=message):
+            LowRankBlock("l", np.ones((3, 1)), np.ones((1, 3)), scale)
 
     def test_large_factors_with_a_finite_product_accepted(self):
         # the norm bound (2e40) exceeds float32 max, but the entries cancel
@@ -202,6 +212,47 @@ class TestAdapterValidation:
     def test_non_number_rank_or_alpha_rejected(self, rank, alpha):
         with pytest.raises(ValidationError, match="must be (a )?positive"):
             _adapter_1layer(np.zeros((1, 3)), np.zeros((4, 1)), rank=rank, alpha=alpha)
+
+    def test_layers_are_read_only(self):
+        adapter = _adapter_1layer(np.zeros((2, 3)), np.zeros((4, 2)), rank=2, alpha=2.0)
+        delta = compute_delta(adapter)
+        with pytest.raises(TypeError):
+            adapter.layers["layer1"] = adapter.layers["layer0"]
+        with pytest.raises(TypeError):
+            delta.layers["layer1"] = delta.layers["layer0"]
+        assert list(adapter.layers) == list(delta.layers) == ["layer0"]
+
+    def test_edits_to_the_callers_dict_do_not_reach_the_map(self):
+        a = TensorBlock("w.lora_A", np.ones((2, 3)))
+        b = TensorBlock("w.lora_B", np.ones((4, 2)))
+        pairs, blocks = {"w": (a, b)}, {"w": a}
+        adapter, delta = LoraAdapter(pairs, 2, 2.0), DeltaMap(blocks)
+        pairs["w"] = pairs["v"] = (b, a)
+        blocks["w"] = blocks["v"] = b
+        assert dict(adapter.layers) == {"w": (a, b)}
+        assert dict(delta.layers) == {"w": a}
+
+    def test_pair_given_as_a_list_is_stored_as_a_tuple(self):
+        a = TensorBlock("w.lora_A", np.ones((2, 3)))
+        b = TensorBlock("w.lora_B", np.ones((4, 2)))
+        assert LoraAdapter({"w": [a, b]}, 2, 2.0).layers["w"] == (a, b)
+
+    @pytest.mark.parametrize("layer", ["array", "array-factor", "one-factor", "bare-factor"])
+    def test_layer_that_is_not_blocks_rejected(self, layer):
+        a = TensorBlock("w.lora_A", np.ones((2, 3)))
+        b = TensorBlock("w.lora_B", np.ones((4, 2)))
+        make = {
+            "array": lambda: DeltaMap({"w": np.ones((2, 3))}),
+            "array-factor": lambda: LoraAdapter({"w": (np.ones((2, 3)), b)}, 2, 2.0),
+            "one-factor": lambda: LoraAdapter({"w": (a,)}, 2, 2.0),
+            "bare-factor": lambda: LoraAdapter({"w": a}, 2, 2.0),
+        }[layer]
+        with pytest.raises(ValidationError, match="^layer 'w': "):
+            make()
+
+    def test_alpha_stored_as_float(self):
+        adapter = _adapter_1layer(np.ones((2, 3)), np.ones((4, 2)), rank=2, alpha=np.float32(2))
+        assert type(adapter.alpha) is float and adapter.alpha == 2.0
 
     @pytest.mark.parametrize("label", [5, None, b"en"], ids=["int", "none", "bytes"])
     def test_non_string_label_rejected(self, label):
@@ -311,17 +362,19 @@ class TestAdapterIO:
         with pytest.raises(ValidationError):
             load_adapter(path)
 
-    def test_save_invalid_adapter_writes_nothing(self, tmp_path):
-        path = tmp_path / "never.tnsr"
+    def test_invalid_adapter_cannot_be_formed(self, tmp_path):
+        path = str(tmp_path / "built.tnsr")
         adapter = _adapter_1layer(np.zeros((2, 3)), np.zeros((4, 2)), rank=2, alpha=2.0)
-        # violate the rank invariant behind the constructor's back
-        adapter.layers["layer1"] = (
-            TensorBlock("layer1.lora_A", np.zeros((3, 3))),
-            TensorBlock("layer1.lora_B", np.zeros((4, 3))),
-        )
-        with pytest.raises(ValidationError):
-            save_adapter(adapter, str(path))
-        assert not path.exists()
+        # the rank invariant cannot be broken behind the constructor's back
+        with pytest.raises(TypeError):
+            adapter.layers["layer1"] = (
+                TensorBlock("layer1.lora_A", np.zeros((3, 3))),
+                TensorBlock("layer1.lora_B", np.zeros((4, 3))),
+            )
+        save_adapter(adapter, path)
+        loaded = load_adapter(path)
+        assert list(loaded.layers) == ["layer0"]
+        assert adapters_equal(adapter, loaded)
 
     def test_non_integral_alpha_round_trips_exactly(self, tmp_path):
         path = str(tmp_path / "alpha.tnsr")

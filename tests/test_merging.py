@@ -485,6 +485,13 @@ class TestDare:
             stderr = math.sqrt(p / (1 - p) / len(samples))
             assert abs(np.mean(samples) - 1.0) < 3 * stderr
 
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", ["x", -1, True], ids=["string", "negative", "bool"])
+    def test_seed_checked_at_every_rate(self, rate, seed):
+        message = f"^seed must be an unsigned 64-bit integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ParameterError, match=message):
+            dare_prune(_single([[1.0]]), rate, seed=seed)
+
     @pytest.mark.parametrize("rate", [-0.01, 1.0, 1.5])
     def test_rate_out_of_range(self, rate):
         with pytest.raises(ParameterError):
@@ -995,6 +1002,12 @@ class TestChunkBoundaries:
     def test_stream_rejects_negative_start(self):
         with pytest.raises(ParameterError):
             uniform_stream(5, "en", "w", 8, -4)
+
+    @pytest.mark.parametrize("count", [-3, 2.0, True], ids=["negative", "float", "bool"])
+    def test_stream_rejects_count_that_is_not_a_non_negative_integer(self, count):
+        message = f"^stream count must be a non-negative integer, got {re.escape(repr(count))}$"
+        with pytest.raises(ParameterError, match=message):
+            uniform_stream(5, "en", "w", count)
 
 
 @pytest.mark.parametrize(
