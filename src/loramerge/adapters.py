@@ -164,7 +164,8 @@ def concat_svd(layer: str, blocks: Sequence) -> tuple[np.ndarray, ...]:
     (arrays or blocks) side by side.  Low-rank blocks of summed rank below
     ``min(d_out, M * d_in)`` are not formed: a QR of the stacked left factors
     reduces the SVD to that many rows (Halko, Martinsson & Tropp,
-    arXiv:0909.4061).  LAPACK runs on one thread; NumericalError names ``layer``."""
+    arXiv:0909.4061).  Every QR, SVD and product runs on one BLAS thread;
+    NumericalError names ``layer``."""
     count = len(blocks)
     d_out, d_in = blocks[0].shape
     if all(isinstance(b, LowRankBlock) for b in blocks) and sum(b.rank for b in blocks) < min(
@@ -196,9 +197,10 @@ def concat_svd(layer: str, blocks: Sequence) -> tuple[np.ndarray, ...]:
             del right
             u, s, vt = np.linalg.svd(core, full_matrices=False)
             del core
+            # here too: a two-thread product leaves OpenBLAS's worker spinning
+            return q @ u, s, vt
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge on layer {layer!r}") from exc
-    return q @ u, s, vt
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,12 +234,17 @@ def _values(made: "np.ndarray | TensorBlock | LowRankBlock") -> np.ndarray:
 
 
 def _layers_copy(owner, what: str) -> dict:
-    """``owner.layers`` copied; ValidationError if it is empty or the label is not a string."""
+    """``owner.layers`` copied; ValidationError if it is empty, the label is
+    not a string or a layer name is not a non-empty string."""
     layers = dict(owner.layers or {})
     if not layers:
         raise ValidationError(f"{what} has no layers")
     if not isinstance(owner.label, str):
         raise ValidationError(f"label must be a string, got {owner.label!r}")
+    for layer in layers:
+        # a name is written as the prefix of its tensors' names
+        if not isinstance(layer, str) or not layer:
+            raise ValidationError(f"layer {layer!r}: name must be a non-empty string")
     return layers
 
 

@@ -109,6 +109,8 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
         raise FormatError("refusing to write a container with no tensors")
     shapes: dict[str, tuple[int, ...]] = {}
     for name, value in tensors.items():
+        if not isinstance(name, str):
+            raise FormatError(f"tensor names must be strings, got {name!r}")
         if not name:
             raise FormatError("tensor names must be non-empty")
         shape = shapes[name] = tuple(np.shape(value))
@@ -131,7 +133,10 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
         }
         offset += nbytes
 
-    blob = _canonical_header_bytes(header)
+    try:  # a lone surrogate in a name or metadata string: no reader could take it back
+        blob = _canonical_header_bytes(header)
+    except UnicodeEncodeError as exc:
+        raise FormatError(f"header text is not valid Unicode ({exc.reason})") from exc
     base = _LEN_BYTES + len(blob)
     with replacing(path) as fh:
         fh.write(struct.pack(_LEN_FMT, len(blob)))

@@ -71,10 +71,11 @@ _PIPELINES = {
 _CHUNK = 1 << 16
 
 # Threads that run the chunks: one per CPU this process may run on, at most
-# _MAX_WORKERS.  The numpy kernels release the interpreter lock, so the
-# chunks run in parallel.  Each running step holds about 2.4 MB of float64
-# scratch, so peak memory grows with the count; merge time and peak memory
-# have been measured at two workers only.
+# _MAX_WORKERS, and at most one per two chunks of a job (see _for_chunks).
+# The numpy kernels release the interpreter lock, so the chunks run in
+# parallel.  Each running step holds about 2.4 MB of float64 scratch, so
+# peak memory grows with the count; merge time and peak memory have been
+# measured at two workers only.
 _MAX_WORKERS = 2
 _WORKERS = min(
     _MAX_WORKERS,
@@ -237,14 +238,18 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
     """Run ``step(start)`` for every chunk start of a ``size``-entry layer.
 
     The calling thread and up to ``_WORKERS - 1`` helper threads take starts
-    from one shared iterator; a helper that cannot be started is done
-    without.  Each step writes only its own output slice and
-    keeps its scratch to itself, so the bytes do not depend on which thread
-    runs which chunk.  Once a step raises, no thread takes another chunk,
-    and after every helper has finished the error of the lowest failing
-    start is re-raised here.  Starts are taken in order and a thread ends
-    the chunk it holds before it stops, so every chunk below that start has
-    run: the error raised does not depend on the thread schedule.
+    from one shared iterator, with a thread for every two chunks: a job of
+    fewer than four chunks, such as TIES on KnOTS task parts, stays on the
+    calling thread, as a helper's start and the malloc arena that then keeps
+    its scratch for the rest of the process would cost more than it saves.
+    A helper that cannot be started is done without.  Each step writes only
+    its own output slice and keeps its scratch to itself, so the bytes do
+    not depend on which thread runs which chunk.  Once a step raises, no
+    thread takes another chunk, and after every helper has finished the
+    error of the lowest failing start is re-raised here.  Starts are taken
+    in order and a thread ends the chunk it holds before it stops, so every
+    chunk below that start has run: the error raised does not depend on the
+    thread schedule.
     """
     starts = iter(range(0, size, _CHUNK))
     lock = threading.Lock()
@@ -263,7 +268,7 @@ def _for_chunks(step: Callable[[int], None], size: int) -> None:
 
     helpers: list[threading.Thread] = []
     try:
-        for _ in range(min(_WORKERS, -(-size // _CHUNK)) - 1):
+        for _ in range(min(_WORKERS, -(-size // _CHUNK) // 2) - 1):
             thread = threading.Thread(target=drain)
             try:
                 thread.start()

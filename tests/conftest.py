@@ -44,6 +44,20 @@ def failing_on_call(inner, number, error):
     return wrapper
 
 
+def threads_started(monkeypatch) -> list:
+    """Patch ``threading.Thread.start`` to list each thread it starts from
+    now on, in the list returned; a start that raises is not listed."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        start(thread)
+        started.append(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
 def random_adapter(rng, layers=2, rank=2, max_dim=6, label="x", dims=None) -> LoraAdapter:
     """Random adapter; pass dims=[(d_in, d_out), ...] to pin layer geometry."""
     if dims is None:

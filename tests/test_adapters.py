@@ -250,6 +250,19 @@ class TestAdapterValidation:
         with pytest.raises(ValidationError, match="^layer 'w': "):
             make()
 
+    @pytest.mark.parametrize("name", [5, "", None], ids=["int", "empty", "none"])
+    def test_layer_name_that_is_not_a_non_empty_string_rejected(self, name):
+        """A layer name is the prefix of its tensors' names: an int one could
+        not be written (a bare TypeError at save), and an empty one would be
+        written as ``.delta`` or ``.lora_A``, which no load takes back."""
+        a = TensorBlock("w.lora_A", np.ones((2, 3)))
+        b = TensorBlock("w.lora_B", np.ones((4, 2)))
+        message = f"^layer {re.escape(repr(name))}: name must be a non-empty string$"
+        with pytest.raises(ValidationError, match=message):
+            DeltaMap({name: TensorBlock("w", np.ones((2, 2)))})
+        with pytest.raises(ValidationError, match=message):
+            LoraAdapter({name: (a, b)}, 2, 2.0)
+
     def test_alpha_stored_as_float(self):
         adapter = _adapter_1layer(np.ones((2, 3)), np.ones((4, 2)), rank=2, alpha=np.float32(2))
         assert type(adapter.alpha) is float and adapter.alpha == 2.0

@@ -3,8 +3,9 @@ import threading
 import numpy as np
 import pytest
 
-from loramerge import blas
+from loramerge import DeltaMap, TensorBlock, blas, refactor_to_adapter
 from loramerge.adapters import LowRankBlock
+from loramerge.merging import knots_transform
 
 _calls = blas._thread_calls()
 
@@ -90,6 +91,57 @@ def test_densify_runs_on_one_thread(get):
     object.__setattr__(block, "left", block.left.view(Spy))
     assert block.values.shape == (515, 300)
     assert seen == [1]
+    assert get() == 2
+
+
+@pytest.mark.parametrize(
+    "route, factored",
+    [("knots", True), ("knots", False), ("refactor", True), ("refactor", False)],
+    ids=["knots-factored", "knots-dense", "refactor-factored", "refactor-dense"],
+)
+def test_concat_svd_runs_on_one_thread(get, monkeypatch, route, factored):
+    """Every QR, SVD and product of :func:`adapters.concat_svd` runs at BLAS
+    thread count 1, the factored route's closing ``q @ u`` too: a two-thread
+    product would leave OpenBLAS's idle worker spinning."""
+    seen = []
+
+    class Spy(np.ndarray):
+        """Records the thread count when it is multiplied."""
+
+        def __matmul__(self, other):
+            seen.append(("@", get()))
+            return np.asarray(self) @ np.asarray(other)
+
+    def spy_on(name):
+        inner = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            seen.append((name, get()))
+            result = inner(*args, **kwargs)
+            # the factors come back as Spies, so the products on them are seen
+            return type(result)(*(x.view(Spy) for x in result))
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    rng = np.random.default_rng(4)
+
+    def layer():
+        left = rng.standard_normal((515, 7)).astype(np.float32)
+        right = rng.standard_normal((7, 300)).astype(np.float32)
+        if factored:
+            return LowRankBlock("l", left, right, 0.5)
+        return TensorBlock("l", left.astype(np.float64) @ right)
+
+    deltas = [DeltaMap({"l": layer()}, label) for label in ("en", "de", "fr")]
+    spy_on("qr")
+    spy_on("svd")
+    if route == "knots":
+        knots_transform(deltas)
+    else:
+        # reading a pending factor runs the layer's SVD
+        refactor_to_adapter(deltas[0], 4).layers["l"][0].values
+    expected = ["qr", "@", "svd", "@"] if factored else ["svd"]
+    assert seen == [(op, 1) for op in expected]
     assert get() == 2
 
 

@@ -40,6 +40,7 @@ from conftest import (
     deltas_bitwise_equal,
     failing_on_call,
     random_adapter,
+    threads_started,
     write_raw_container,
 )
 
@@ -507,13 +508,15 @@ class TestStepErrorInMerge:
     """A merge step failing on one chunk past the first gives the one-line
     error, joins every helper thread and leaves no ``--out`` file."""
 
-    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
-    def test_no_out_file(self, tmp_path, capfd, monkeypatch, target):
+    @staticmethod
+    def _merge_fails(tmp_path, capfd, monkeypatch, target, shape):
+        """Merge three delta files of ``shape`` layers on up to three threads
+        with the second call of ``target`` failing; the threads started."""
         rng = np.random.default_rng(84)
         paths = []
         for label in ("en", "de", "fr"):
             delta = DeltaMap.from_arrays(
-                {"w": rng.standard_normal((300, 500)).astype(np.float32)}, label=label
+                {"w": rng.standard_normal(shape).astype(np.float32)}, label=label
             )
             paths.append(str(tmp_path / f"{label}.tnsr"))
             save_delta(delta, paths[-1])
@@ -522,11 +525,22 @@ class TestStepErrorInMerge:
         monkeypatch.setattr(merging, "_WORKERS", 3)
         monkeypatch.setattr(merging, target, failing)
         before = threading.active_count()
+        started = threads_started(monkeypatch)
         out = str(tmp_path / "merged.tnsr")
         assert run(["merge", "--config", config, "--out", out, *paths]) == 3
         assert capfd.readouterr() == ("", "error[numerical]: injected failure\n")
         assert threading.active_count() == before
         assert not os.path.exists(out)
+        return started
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_no_out_file(self, tmp_path, capfd, monkeypatch, target):
+        self._merge_fails(tmp_path, capfd, monkeypatch, target, (300, 500))
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_no_out_file_with_helpers_running(self, tmp_path, capfd, monkeypatch, target):
+        # five chunks a layer: two threads take them
+        assert self._merge_fails(tmp_path, capfd, monkeypatch, target, (300, 1000))
 
 
 class TestLowestChunkError:
@@ -611,8 +625,9 @@ class TestThreadCountDeterminism:
         return tmp_path, paths
 
     @staticmethod
-    def _outputs(tmp_path, paths, pipeline, thread_counts=("1", "2")):
-        """The bytes of one merge at each BLAS thread count, 1 and 2 by default."""
+    def _outputs(tmp_path, paths, pipeline, thread_counts=("1", "2"), extra=()):
+        """The bytes of one merge, with the options ``extra``, at each BLAS
+        thread count, 1 and 2 by default."""
         name = "-".join(pipeline)
         config = _write_config(tmp_path / f"{name}.json", pipeline, seed=42)
         outputs = []
@@ -624,7 +639,7 @@ class TestThreadCountDeterminism:
                 OMP_NUM_THREADS=threads,
                 MKL_NUM_THREADS=threads,
             )
-            argv = ["merge", "--config", config, "--out", out, *paths]
+            argv = ["merge", "--config", config, *extra, "--out", out, *paths]
             result = subprocess.run(
                 [sys.executable, "-m", "loramerge", *argv],
                 env=env,
@@ -673,6 +688,25 @@ class TestThreadCountDeterminism:
             save_adapter(adapter, paths[-1])
         outputs = self._outputs(tmp_path, paths, ["TIES"], thread_counts=("1", "2", "8"))
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "shape, rank",
+        [((515, 300), 7), ((2048, 1024), 16), ((4096, 1024), 32)],
+        ids=["515x300-r7", "2048x1024-r16", "4096x1024-r32"],
+    )
+    def test_refactored_merge_byte_identical(self, tmp_path, shape, rank):
+        """A KNOTS+TIES merge written as a rank-``rank`` adapter: the
+        refactor's QR, SVD and products run on one BLAS thread too."""
+        rng = np.random.default_rng(88)
+        d_out, d_in = shape
+        paths = []
+        for label in ("en", "de", "fr"):
+            adapter = random_adapter(rng, rank=rank, label=label, dims=[(d_in, d_out)])
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_adapter(adapter, paths[-1])
+        extra = ("--refactor-rank", str(rank))
+        outputs = self._outputs(tmp_path, paths, ["KNOTS", "TIES"], extra=extra)
+        assert outputs[0] == outputs[1]
 
     def test_byte_identical_dense_route_on_delta_files(self, tmp_path):
         paths = _delta_files(tmp_path, layers=2, shape=(768, 768), seed=86)
@@ -883,20 +917,21 @@ def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refacto
         assert got.read() == want.read()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_layer_written_in_slabs_equals_the_library_merge(tmp_path, monkeypatch, workers):
-    """An untrimmed DARE+TIES layer of two slabs and a ragged tail, written
-    a slab at a time from the delta files, has the bytes of the whole
-    merged layer."""
-    monkeypatch.setattr(container, "_SLAB", 2 * merging._CHUNK)
+def _merge_in_slabs(tmp_path, monkeypatch, workers, slab_chunks, shape):
+    """Merge DARE+TIES, untrimmed, from delta files of ``shape`` layers to
+    ``--out`` in slabs of ``slab_chunks`` chunks on up to ``workers``
+    threads, check its bytes against the library merge's and return the
+    threads the CLI merge started."""
+    monkeypatch.setattr(container, "_SLAB", slab_chunks * merging._CHUNK)
     monkeypatch.setattr(merging, "_WORKERS", workers)
-    shape = (515, 600)  # 309000 entries: slabs of 131072 and a tail of 46856
     paths = _delta_files(tmp_path, layers=2, shape=shape)
     config = _write_config(
         tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=7
     )
     out = str(tmp_path / "merged.tnsr")
+    started = threads_started(monkeypatch)
     assert run(["merge", "--config", config, "--out", out, *paths]) == 0
+    started = list(started)  # the library merge below starts its own
     merged = merge(
         [load_delta(path) for path in paths],
         MergeConfig(("DARE", "TIES"), 1.0, drop_rate=0.5, seed=7),
@@ -905,6 +940,22 @@ def test_layer_written_in_slabs_equals_the_library_merge(tmp_path, monkeypatch, 
     save_delta(merged, expected)
     with open(out, "rb") as got, open(expected, "rb") as want:
         assert got.read() == want.read()
+    return started
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_layer_written_in_slabs_equals_the_library_merge(tmp_path, monkeypatch, workers):
+    """An untrimmed DARE+TIES layer of two slabs and a ragged tail, written
+    a slab at a time from the delta files, has the bytes of the whole
+    merged layer."""
+    # 309000 entries: slabs of 131072 and a tail of 46856, each on one thread
+    assert not _merge_in_slabs(tmp_path, monkeypatch, workers, 2, (515, 600))
+
+
+def test_layer_written_in_slabs_on_two_threads_equals_the_library_merge(tmp_path, monkeypatch):
+    """The same, in slabs that two threads share."""
+    # 618000 entries: slabs of 262144 and a tail of 93712
+    assert _merge_in_slabs(tmp_path, monkeypatch, 2, 4, (515, 1200))
 
 
 class TestAtomicOut:

@@ -193,18 +193,43 @@ def test_empty_container_rejected_both_ways(tmp_path):
         read_tensors(path)
 
 
+# a lone surrogate cannot be encoded as UTF-8, so no header holding one is written
+_SURROGATE = "header text is not valid Unicode (surrogates not allowed)"
+
+
 @pytest.mark.parametrize(
     "tensors, metadata, message",
     [
         ({"": np.ones((2, 2))}, None, "tensor names must be non-empty"),
         ({"a": np.ones((2, 2))}, {"rank": 64}, "metadata keys and values must be strings"),
         ({"a": np.ones((0, 2))}, None, "tensor 'a' must have >=1 dimension, all sizes >=1"),
+        ({5: np.ones((2, 2))}, None, "tensor names must be strings, got 5"),
+        ({5: np.ones((2, 2)), "b": np.ones((2, 2))}, None, "tensor names must be strings, got 5"),
+        ({"\udc80": np.ones((2, 2))}, None, _SURROGATE),
+        ({"a": np.ones((2, 2))}, {"label": "en\udc80"}, _SURROGATE),
+        ({"a": np.ones((2, 2))}, {"\ud800": "en"}, _SURROGATE),
     ],
-    ids=["empty-name", "non-string-metadata", "zero-size-dimension"],
+    ids=[
+        "empty-name",
+        "non-string-metadata",
+        "zero-size-dimension",
+        "int-name",
+        "int-name-among-strings",
+        "surrogate-name",
+        "surrogate-metadata-value",
+        "surrogate-metadata-key",
+    ],
 )
 def test_write_rejects_a_malformed_layout(tmp_path, tensors, metadata, message):
     with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         write_tensors(str(tmp_path / "out.tnsr"), tensors, metadata)
+    assert os.listdir(tmp_path) == []
+
+
+def test_save_delta_of_a_surrogate_label_is_format_error(tmp_path):
+    delta = DeltaMap.from_arrays({"w": np.ones((2, 2), np.float32)}, label="\udc80")
+    with pytest.raises(FormatError, match=f"^{re.escape(_SURROGATE)}$"):
+        save_delta(delta, str(tmp_path / "out.tnsr"))
     assert os.listdir(tmp_path) == []
 
 

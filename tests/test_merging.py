@@ -39,6 +39,7 @@ from conftest import (
     random_adapter,
     random_delta,
     random_delta_set,
+    threads_started,
     ties_reference,
 )
 
@@ -900,12 +901,13 @@ class TestChunkBoundaries:
     bytes of the whole-array expressions, whether its inputs are held in
     memory or read a chunk at a time from delta files."""
 
-    SHAPE = (515, 300)
+    SHAPE = (515, 300)  # three chunks: one thread takes them all
+    WIDE = (515, 800)  # seven chunks: helper threads start
 
     @classmethod
-    def _deltas(cls):
+    def _deltas(cls, shape=SHAPE):
         rng = np.random.default_rng(515300)
-        arrays = [rng.standard_normal(cls.SHAPE).astype(np.float32) for _ in range(3)]
+        arrays = [rng.standard_normal(shape).astype(np.float32) for _ in range(3)]
         # integer-valued band: equal magnitudes for the trim, exact
         # cancellations for the election (2 - 2 + 0), and -0.0 inputs
         band = slice(200, 260)
@@ -950,6 +952,8 @@ class TestChunkBoundaries:
     def test_layer_spans_several_chunks_with_a_tail(self):
         size = math.prod(self.SHAPE)
         assert size > 2 * merging._CHUNK and size % merging._CHUNK
+        wide = math.prod(self.WIDE)
+        assert wide > 6 * merging._CHUNK and wide % merging._CHUNK
 
     @pytest.mark.parametrize("source", ["memory", "file"])
     @pytest.mark.parametrize(
@@ -1082,12 +1086,17 @@ class TestWorkerCounts:
         assert 129 * 4096 > 8 * merging._CHUNK
         rng = np.random.default_rng(1294096)
         deltas = []
-        for delta in TestChunkBoundaries._deltas():
+        wide = TestChunkBoundaries._deltas(TestChunkBoundaries.WIDE)
+        for delta, wide_delta in zip(TestChunkBoundaries._deltas(), wide):
             # 129 x 4096: eight full chunks and a tail, also as KnOTS
             # components (k = 129 on the dense route)
             big = rng.standard_normal((129, 4096)).astype(np.float32)
             big[::5, ::3] = -0.0
-            arrays = {"w": delta.layers["w"].values, "big": big}
+            arrays = {
+                "w": delta.layers["w"].values,
+                "wide": wide_delta.layers["w"].values,
+                "big": big,
+            }
             deltas.append(DeltaMap.from_arrays(arrays, label=delta.label))
         return deltas
 
@@ -1108,8 +1117,10 @@ class TestWorkerCounts:
         outputs = []
         for workers in self.WORKERS:
             monkeypatch.setattr(merging, "_WORKERS", workers)
+            started = threads_started(monkeypatch)
             out = merge(deltas, config)
             outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
+            assert bool(started) == (workers > 1)
         assert all(out == outputs[0] for out in outputs)
 
     def test_dare_prune_bytes(self, monkeypatch, fast_switching):
@@ -1117,8 +1128,10 @@ class TestWorkerCounts:
             outputs = []
             for workers in self.WORKERS:
                 monkeypatch.setattr(merging, "_WORKERS", workers)
+                started = threads_started(monkeypatch)
                 out = dare_prune(delta, 0.3, seed=17)
                 outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
+                assert bool(started) == (workers > 1)
             assert all(out == outputs[0] for out in outputs)
 
     def test_every_chunk_runs_once_over_several_threads(self, monkeypatch, fast_switching):
@@ -1156,6 +1169,7 @@ class TestWorkerCounts:
         expected = {n: b.values.tobytes() for n, b in merge(deltas, config).layers.items()}
         monkeypatch.setattr(merging, "_WORKERS", 3)
         before = threading.active_count()
+        started = threads_started(monkeypatch)
         error = RuntimeError("can't start new thread")
         monkeypatch.setattr(
             threading.Thread, "start", failing_on_call(threading.Thread.start, 2, error)
@@ -1163,6 +1177,15 @@ class TestWorkerCounts:
         out = merge(deltas, config)
         assert {n: b.values.tobytes() for n, b in out.layers.items()} == expected
         assert threading.active_count() == before
+        # the second start of all fails, and the others start helpers
+        assert started
+
+    @pytest.mark.parametrize("chunks, helpers", [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1), (7, 2)])
+    def test_a_thread_for_every_two_chunks(self, monkeypatch, chunks, helpers):
+        monkeypatch.setattr(merging, "_WORKERS", 8)
+        started = threads_started(monkeypatch)
+        merging._for_chunks(lambda start: None, (chunks - 1) * merging._CHUNK + 1)
+        assert len(started) == helpers
 
     def test_one_chunk_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(merging, "_WORKERS", 8)
@@ -1179,18 +1202,30 @@ class TestStepErrors:
     """An exception in a chunk step, on any thread, reaches the caller of
     ``merge``; every helper thread is joined and nothing is printed."""
 
-    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
-    def test_merge_reraises_the_step_error(self, monkeypatch, capfd, target):
+    @staticmethod
+    def _merge_fails(monkeypatch, capfd, target, shape):
+        """Merge layers of ``shape`` on up to three threads with the second
+        call of ``target`` failing; the threads that were started."""
         monkeypatch.setattr(merging, "_WORKERS", 3)
         # the second call is one chunk past the first
         failing = failing_on_call(getattr(merging, target), 2, _Injected(target))
         monkeypatch.setattr(merging, target, failing)
         before = threading.active_count()
+        started = threads_started(monkeypatch)
         config = MergeConfig(("DARE", "TIES"), density=0.5, seed=5)
         with pytest.raises(_Injected, match=target):
-            merge(TestChunkBoundaries._deltas(), config)
+            merge(TestChunkBoundaries._deltas(shape), config)
         assert threading.active_count() == before
         assert capfd.readouterr() == ("", "")
+        return started
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_merge_reraises_the_step_error(self, monkeypatch, capfd, target):
+        self._merge_fails(monkeypatch, capfd, target, TestChunkBoundaries.SHAPE)
+
+    @pytest.mark.parametrize("target", ["_disjoint", "uniform_stream"])
+    def test_merge_reraises_the_step_error_with_helpers_running(self, monkeypatch, capfd, target):
+        assert self._merge_fails(monkeypatch, capfd, target, TestChunkBoundaries.WIDE)
 
     def test_first_error_stops_the_other_workers(self, monkeypatch):
         monkeypatch.setattr(merging, "_WORKERS", 3)
