@@ -216,7 +216,7 @@ class PendingBlock(container.CheckedBlock):
     ``[start, stop)`` of ``values`` without forming the rest, as
     :class:`container.CheckedBlock` says: a delta file's layer has one, and
     so has a streamed merge's layer whose inputs all have one.
-    :func:`container.write_tensors` forms such a block one slab at a time.
+    :func:`container.write_tensors` forms such a block a range at a time.
     """
 
     name: str

@@ -12,6 +12,7 @@ none of them.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import sys
@@ -231,7 +232,30 @@ def run(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _steady_heap() -> None:
+    """Fix glibc's mmap and trim thresholds at 16 and 8 MiB, so the heap
+    keeps the scratch a chunk step frees for the next one.
+
+    Left dynamic, both stay near their start, as no buffer larger than a
+    chunk is freed, and glibc returns each chunk's scratch to the system to
+    fault it back in.  Setting either one alone fixes the other at its
+    start.  Minor faults of a streamed ``dare-deltas`` merge child (2-core
+    x86_64 host, medians of 4): ≈110K with neither set, ≈316K with the trim
+    threshold alone, ≈116K with the mmap threshold alone, ≈101K with both
+    but a 2 MiB trim threshold, and ≈6.4K as set here.  Where the C library
+    has no ``mallopt``, this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def main() -> None:
+    _steady_heap()
     sys.exit(run())
 
 

@@ -18,13 +18,16 @@ Every output file of the package, container or text report, is written
 through :func:`replacing`: to a temporary file beside the target, synced
 to disk and renamed over it only when complete, so a failed write leaves no
 partial file and an existing target as it was.  The header follows from the
-tensors' shapes, so each tensor is written at its offset in turn, a slab at
-a time, and let go before the next one is formed.  A block with a ``part``
-forms each slab in turn, so no tensor of it is held whole; any other value
-is formed (a block) or converted (an array) and checked whole, then sliced.
-A read opens the file, checks the header (its text must encode back to
-UTF-8) and layout, and reads each tensor at its offset when it is asked for
-(:class:`TensorFile`).
+tensors' shapes, so each tensor is written at its offset in turn, a range
+at a time by the chunk workers (:func:`_for_chunks`), each range at its own
+offset, and let go before the next one is formed.  A block with a ``part``
+forms each range on the worker that writes it, so no tensor of it is held
+whole; any other value is formed (a block) or converted (an array) and
+checked whole, then sliced.  A read opens the file, checks the header (its
+text must encode back to UTF-8) and layout, and reads each tensor at its
+offset when it is asked for (:class:`TensorFile`).  Reads and writes are
+made by position (``preadv``/``pwrite``), so threads share a descriptor
+without a lock or a seek.
 """
 
 from __future__ import annotations
@@ -52,13 +55,31 @@ _LEN_FMT = "<Q"
 _LEN_BYTES = 8
 _F32 = np.dtype("<f4")
 
-# Entries per write of a block that gives ranges: 4 MiB.  Smaller slabs
-# cost page faults: once no buffer this large is freed, glibc's dynamic mmap
-# and trim thresholds stay low and the chunk scratch is returned to the
-# system and faulted back in.  A warm in-process ``dare-deltas`` merge
-# (2-core x86_64 host) took ≈17 minor faults at this size, ≈30K at 1 << 19
-# and ≈141K at 1 << 18 or 1 << 16, which also doubled its time.
-_SLAB = 1 << 20
+# Entries per step of DARE's drops and TIES's sign election and disjoint
+# mean: their float64 temporaries stay cache-sized whatever the layer size.
+_CHUNK = 1 << 16
+
+# Threads that run the chunks: one per CPU this process may run on, at most
+# _MAX_WORKERS, and at most one per two chunks of a job (see _for_chunks).
+# The numpy kernels release the interpreter lock, so the chunks run in
+# parallel.  Each running step holds about 2.4 MiB of scratch (three models,
+# DARE+TIES; a step holds each model's chunk and its float64 sums), so
+# peak memory grows with the count; merge time and peak memory have been
+# measured at two workers only.
+_MAX_WORKERS = 2
+_WORKERS = min(
+    _MAX_WORKERS,
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
+)
+
+# Entries per range the writer forms and writes, on the chunk workers: one
+# chunk, so a streamed layer's writer holds one merged chunk per worker.
+# With no larger buffer freed, glibc's dynamic mmap and trim thresholds stay
+# low and return each chunk's scratch to the system, to be faulted back in;
+# ``cli.main`` fixes both thresholds (see ``cli._steady_heap``).
+_SLAB = _CHUNK
+
+_steps = threading.local()  # ``running``: this thread is inside a chunk step
 
 
 def _canonical_header_bytes(header: dict) -> bytes:
@@ -94,16 +115,78 @@ def _slices(values: np.ndarray) -> Callable[[int, int], np.ndarray]:
     return lambda start, stop: flat[start:stop]
 
 
+def _for_chunks(step: Callable[[int], None], size: int, stride: int = _CHUNK) -> None:
+    """Run ``step(start)`` for every start, ``stride`` entries apart, of a
+    ``size``-entry job.
+
+    The calling thread and up to ``_WORKERS - 1`` helper threads take starts
+    from one shared iterator, with a thread for every two chunks and no more
+    threads than starts: a job of fewer than four chunks, such as TIES on
+    KnOTS task parts, stays on the calling thread, as a helper's start and
+    the malloc arena that then keeps its scratch for the rest of the process
+    would cost more than it saves.  A job started inside a step (the merge
+    of a range the writer writes) runs on the thread of that step, so no
+    more than ``_WORKERS`` threads ever run steps.  A helper that cannot be
+    started is done without.  Each step writes only its own output slice
+    and keeps its scratch to itself, so the bytes do not depend on which
+    thread runs which start.  Once a step raises, no thread takes another
+    start, and after every helper has finished the error of the lowest
+    failing start is re-raised here.  Starts are taken in order and a thread
+    ends the step it holds before it stops, so every step below that start
+    has run: the error raised does not depend on the thread schedule.
+    """
+    starts = iter(range(0, size, stride))
+    lock = threading.Lock()
+    errors: list[tuple[int, BaseException]] = []
+
+    def drain() -> None:
+        nested = getattr(_steps, "running", False)
+        _steps.running = True
+        try:
+            while not errors:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                try:
+                    step(start)
+                except BaseException as exc:  # re-raised by the calling thread
+                    errors.append((start, exc))
+        finally:
+            _steps.running = nested
+
+    threads = 1
+    if not getattr(_steps, "running", False):
+        threads = min(_WORKERS, -(-size // _CHUNK) // 2, -(-size // stride))
+    helpers: list[threading.Thread] = []
+    try:
+        for _ in range(threads - 1):
+            thread = threading.Thread(target=drain)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to spare: the running ones drain the rest
+                break
+            helpers.append(thread)
+        drain()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+
+
 def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None = None) -> None:
     """Write named float32 tensors (and optional string metadata) to ``path``.
 
     Each value is a :class:`CheckedBlock` or anything else that converts to
     a float32 array.  The header takes the shapes from ``np.shape``; then,
     in the mapping's order, each value is written at its offset in the
-    sorted-name layout ``_SLAB`` entries at a time.  A block's ``part``
-    forms each slab in turn, let go before the next is formed; any other
-    value is formed whole (a block's ``values``) or converted and checked
-    for non-finite entries, sliced, and let go before the next is formed.
+    sorted-name layout ``_SLAB`` entries at a time, each range formed and
+    written at its offset by a chunk worker (:func:`_for_chunks`).  A
+    block's ``part`` forms each range on its worker, let go once written;
+    any other value is formed whole (a block's ``values``) or converted and
+    checked for non-finite entries, sliced, and let go before the next is
+    formed.
     """
     if not tensors:
         raise FormatError("refusing to write a container with no tensors")
@@ -141,30 +224,39 @@ def write_tensors(path: str, tensors: Mapping, metadata: dict[str, str] | None =
     with replacing(path) as fh:
         fh.write(struct.pack(_LEN_FMT, len(blob)))
         fh.write(blob)
+        fh.flush()  # the ranges are written past it, by position
+        fd = fh.fileno()
         for name, value in tensors.items():
-            block = isinstance(value, CheckedBlock)
-            part = value.part if block else None
-            if part is None:
-                arr = np.ascontiguousarray(value.values if block else value, dtype=_F32)
-                if arr.shape != shapes[name]:
-                    raise FormatError(
-                        f"tensor {name!r} is {arr.shape}, its block says {shapes[name]}"
-                    )
-                if not block and not np.isfinite(arr).all():
-                    raise DataError(f"tensor {name!r} contains non-finite values")
-                part = _slices(arr)
-            fh.seek(base + header[name]["data_offsets"][0])
-            size = math.prod(shapes[name])
-            for start in range(0, size, _SLAB):
-                stop = min(start + _SLAB, size)
-                arr = np.ascontiguousarray(part(start, stop), dtype=_F32)
-                if arr.shape != (stop - start,):
-                    raise FormatError(
-                        f"tensor {name!r} gives {arr.shape} for entries "
-                        f"[{start}, {stop}), its block says {shapes[name]}"
-                    )
-                fh.write(memoryview(arr).cast("B"))
-                del arr  # before the next slab is formed
+            offset = base + header[name]["data_offsets"][0]
+            _write_tensor(fd, offset, name, value, shapes[name])
+
+
+def _write_tensor(fd: int, offset: int, name: str, value, shape: tuple[int, ...]) -> None:
+    """Write tensor ``name`` (see :func:`write_tensors`) at ``offset`` of the
+    file open as ``fd``; what it formed is let go on return."""
+    block = isinstance(value, CheckedBlock)
+    part = value.part if block else None
+    if part is None:
+        arr = np.ascontiguousarray(value.values if block else value, dtype=_F32)
+        if arr.shape != shape:
+            raise FormatError(f"tensor {name!r} is {arr.shape}, its block says {shape}")
+        if not block and not np.isfinite(arr).all():
+            raise DataError(f"tensor {name!r} contains non-finite values")
+        part = _slices(arr)
+    size = math.prod(shape)
+    slab = _SLAB
+
+    def write(start: int) -> None:
+        stop = min(start + slab, size)
+        arr = np.ascontiguousarray(part(start, stop), dtype=_F32)
+        if arr.shape != (stop - start,):
+            raise FormatError(
+                f"tensor {name!r} gives {arr.shape} for entries "
+                f"[{start}, {stop}), its block says {shape}"
+            )
+        _write_at(fd, memoryview(arr).cast("B"), offset + 4 * start)
+
+    _for_chunks(write, size, slab)
 
 
 @contextlib.contextmanager
@@ -216,15 +308,21 @@ def _parse_header(raw: bytes | bytearray, path: str) -> dict:
     return header
 
 
-def _read_at(fh, buffer: memoryview, offset: int, path: str) -> None:
-    """Fill ``buffer`` from ``offset`` of the open file."""
-    fh.seek(offset)
+def _read_at(fd: int, buffer: memoryview, offset: int, path: str) -> None:
+    """Fill ``buffer`` from ``offset`` of the file open as ``fd``."""
     done = 0
     while done < len(buffer):
-        got = fh.readinto(buffer[done:])
+        got = os.preadv(fd, [buffer[done:]], offset + done)
         if not got:
             raise FormatError(f"{path}: file ended {len(buffer) - done} bytes early")
         done += got
+
+
+def _write_at(fd: int, buffer: memoryview, offset: int) -> None:
+    """Write all of ``buffer`` at ``offset`` of the file open as ``fd``."""
+    done = 0
+    while done < len(buffer):
+        done += os.pwrite(fd, buffer[done:], offset + done)
 
 
 def _read_header(fh, path: str) -> tuple[dict, int, int]:
@@ -233,12 +331,12 @@ def _read_header(fh, path: str) -> tuple[dict, int, int]:
     if size < _LEN_BYTES:
         raise FormatError(f"{path}: file too short for a header length field")
     field = bytearray(_LEN_BYTES)
-    _read_at(fh, memoryview(field), 0, path)
+    _read_at(fh.fileno(), memoryview(field), 0, path)
     (header_len,) = struct.unpack(_LEN_FMT, field)
     if header_len > size - _LEN_BYTES:
         raise FormatError(f"{path}: header length {header_len} exceeds file size {size}")
     raw = bytearray(header_len)
-    _read_at(fh, memoryview(raw), _LEN_BYTES, path)
+    _read_at(fh.fileno(), memoryview(raw), _LEN_BYTES, path)
     return _parse_header(raw, path), _LEN_BYTES + header_len, size - _LEN_BYTES - header_len
 
 
@@ -325,16 +423,16 @@ class TensorFile:
     order) are known before any payload is read.  :meth:`read` reads one
     tensor, and :meth:`read_range` a range of its entries, at its offset
     into a fresh buffer and checks it for non-finite values there.  Reads
-    go through the descriptor opened here, so they see the file that was
-    checked even after its path is replaced; it stays open until
-    :meth:`close` or until the object is collected.
+    go by position through the descriptor opened here, so threads may read
+    at once, and they see the file that was checked even after its path is
+    replaced; it stays open until :meth:`close` or until the object is
+    collected.
     """
 
     _fh = None
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._lock = threading.Lock()  # a read is a seek, then reads
         try:
             self._fh = open(path, "rb", buffering=0)
             header, self._base, payload_size = _read_header(self._fh, path)
@@ -360,8 +458,7 @@ class TensorFile:
         payload = np.empty(4 * (stop - start), dtype=np.uint8)
         offset = self._base + self._begins[name] + 4 * start
         try:
-            with self._lock:
-                _read_at(self._fh, memoryview(payload), offset, self.path)
+            _read_at(self._fh.fileno(), memoryview(payload), offset, self.path)
         except OSError as exc:
             raise StorageError(f"cannot read {self.path}: {exc}") from exc
         payload.setflags(write=False)

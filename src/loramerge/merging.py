@@ -29,8 +29,10 @@ so each chunk step takes its chunk of every model's source and merges it.
 writing the result streams the merge from the input files to the output
 file.  Where no model's layer is formed and every model's layer is read by
 range (delta files), a range of the merged layer is merged from the same
-range of every model, so the writer forms and writes it a slab at a time
-and the merged layer is not held whole either.
+range of every model, so each chunk worker of the writer forms and writes
+its own ranges and the merged layer is not held whole either.  The chunk
+runner (:func:`container._for_chunks`) and its worker count belong to
+:mod:`container`, so that the writer's jobs and the merge's share them.
 
 Supported pipelines are TIES, KNOTS+TIES, DARE+TIES, and DARE+KNOTS+TIES;
 DARE and KnOTS are not standalone merges, so every pipeline ends in TIES.
@@ -45,8 +47,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .adapters import DeltaMap, LowRankBlock, PendingBlock, TensorBlock, concat_svd
-from .container import CheckedBlock, _checked_range, _slices
+from .container import _CHUNK, CheckedBlock, _checked_range, _for_chunks, _slices
 from .errors import AlignmentError, DataError, ParameterError, check_config_keys, is_finite
 from .errors import is_integer, is_real
 from .rng import checked_seed, uniform_stream
@@ -65,23 +65,6 @@ _PIPELINES = {
     ("DARE", "TIES"),
     ("DARE", "KNOTS", "TIES"),
 }
-
-# Entries per step of DARE's drops and TIES's sign election and disjoint
-# mean: their float64 temporaries stay cache-sized whatever the layer size.
-_CHUNK = 1 << 16
-
-# Threads that run the chunks: one per CPU this process may run on, at most
-# _MAX_WORKERS, and at most one per two chunks of a job (see _for_chunks).
-# The numpy kernels release the interpreter lock, so the chunks run in
-# parallel.  Each running step holds about 2.4 MB of float64 scratch, so
-# peak memory grows with the count; merge time and peak memory have been
-# measured at two workers only.
-_MAX_WORKERS = 2
-_WORKERS = min(
-    _MAX_WORKERS,
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
-)
-
 
 @dataclass(frozen=True)
 class MergeConfig:
@@ -234,55 +217,6 @@ def trim(delta: DeltaMap, density: float) -> DeltaMap:
     return DeltaMap(layers, delta.label)
 
 
-def _for_chunks(step: Callable[[int], None], size: int) -> None:
-    """Run ``step(start)`` for every chunk start of a ``size``-entry layer.
-
-    The calling thread and up to ``_WORKERS - 1`` helper threads take starts
-    from one shared iterator, with a thread for every two chunks: a job of
-    fewer than four chunks, such as TIES on KnOTS task parts, stays on the
-    calling thread, as a helper's start and the malloc arena that then keeps
-    its scratch for the rest of the process would cost more than it saves.
-    A helper that cannot be started is done without.  Each step writes only
-    its own output slice and keeps its scratch to itself, so the bytes do
-    not depend on which thread runs which chunk.  Once a step raises, no
-    thread takes another chunk, and after every helper has finished the
-    error of the lowest failing start is re-raised here.  Starts are taken
-    in order and a thread ends the chunk it holds before it stops, so every
-    chunk below that start has run: the error raised does not depend on the
-    thread schedule.
-    """
-    starts = iter(range(0, size, _CHUNK))
-    lock = threading.Lock()
-    errors: list[tuple[int, BaseException]] = []
-
-    def drain() -> None:
-        while not errors:
-            with lock:
-                start = next(starts, None)
-            if start is None:
-                return
-            try:
-                step(start)
-            except BaseException as exc:  # re-raised by the calling thread
-                errors.append((start, exc))
-
-    helpers: list[threading.Thread] = []
-    try:
-        for _ in range(min(_WORKERS, -(-size // _CHUNK) // 2) - 1):
-            thread = threading.Thread(target=drain)
-            try:
-                thread.start()
-            except RuntimeError:  # no thread to spare: the running ones drain the rest
-                break
-            helpers.append(thread)
-        drain()
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise min(errors, key=lambda error: error[0])[1]
-
-
 def _dare_chunk(
     part: np.ndarray, label: str, name: str, start: int, drop_rate: float, seed: int
 ) -> np.ndarray:
@@ -375,31 +309,39 @@ def _elect(values: Sequence[np.ndarray], weights: np.ndarray) -> np.ndarray:
 
 def _disjoint(values: Sequence[np.ndarray], signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     numer = np.zeros(signs.shape, dtype=np.float64)
-    denom = np.zeros(signs.shape, dtype=np.float64)
-    term = np.empty(signs.shape, dtype=np.float64)
     unit = signs.astype(np.float32)
     carried = np.empty(signs.shape, dtype=np.float32)
     bits = carried.view(np.uint32)
     match = np.empty(signs.shape, dtype=bool)
+    ones = bool((weights == 1.0).all())
+    if ones:  # the denominator counts the models that match, as an integer
+        count = np.zeros(signs.shape, dtype=np.min_scalar_type(len(values)))
+    else:
+        denom = np.zeros(signs.shape, dtype=np.float64)
+        term = np.empty(signs.shape, dtype=np.float64)
     for w, v in zip(weights, values):
         # v carries the elected sign iff v * sign > 0; a zero never does
         np.multiply(v, unit, out=carried)
         np.greater(carried, 0.0, out=match)
-        # v where it carries the sign, else +0.0: the bits are multiplied by
+        # v where it carries the sign, else +0.0: its bits are multiplied by
         # the match, with no per-entry branch on it.  numer starts at +0.0 and
         # is never -0.0, so adding +0.0 leaves it as it was
-        carried[...] = v
-        bits *= match
-        if w == 1.0:  # float64(v) * 1.0 is float64(v): skip the passes
+        np.multiply(v.view(np.uint32), match, out=bits)
+        if ones:
+            numer += carried
+            count += match
+        elif w == 1.0:  # float64(v) * 1.0 is float64(v): skip the passes
             numer += carried
             denom += match
-            continue
-        np.multiply(carried, w, out=term, dtype=np.float64)
-        numer += term
-        np.multiply(match, w, out=term, dtype=np.float64)
-        denom += term
-    # an entry no model matches has numer +0.0 and denom 0; dividing it by 1
-    # keeps it +0.0 without a masked divide
+        else:
+            np.multiply(carried, w, out=term, dtype=np.float64)
+            numer += term
+            np.multiply(match, w, out=term, dtype=np.float64)
+            denom += term
+    # an entry no model matches has numer +0.0 and denominator 0; dividing it
+    # by 1 keeps it +0.0 without a masked divide
+    if ones:
+        return np.divide(numer, np.maximum(count, 1), out=numer).astype(np.float32)
     denom += denom == 0
     return np.divide(numer, denom, out=term).astype(np.float32)
 
@@ -559,9 +501,9 @@ def lazy_merge(deltas: Sequence[DeltaMap], config: MergeConfig) -> DeltaMap:
     per model at a time: none, for an untrimmed layer without KnOTS whose
     inputs are delta files, which is read chunk by chunk.  Such a layer's
     block has a ``part``, which merges only the range asked for, so
-    ``save_delta`` holds none of the merged layer beyond a slab.  An
-    untrimmed layer is that range merge over the whole layer, and every
-    trimmed one (TIES or KnOTS) ends in one trim→TIES step.
+    ``save_delta`` holds none of the merged layer beyond a range per chunk
+    worker.  An untrimmed layer is that range merge over the whole layer,
+    and every trimmed one (TIES or KnOTS) ends in one trim→TIES step.
     """
     names = _aligned_layers(deltas)
     w = config.weight_vector(len(deltas))

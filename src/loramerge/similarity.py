@@ -6,6 +6,8 @@ symmetric matrix with unit diagonal.  Low off-diagonal values indicate the
 models occupy nearly orthogonal directions, i.e. little interference when
 merged.  The vectors are never concatenated: one pass over the layers
 takes each pair's float64 dot product per layer, one layer per model held.
+Every dot product runs with OpenBLAS on one thread (:func:`blas.one_thread`),
+as its sum is split, and rounded, by the thread count.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .adapters import DeltaMap
+from .blas import one_thread
 from .errors import AlignmentError, DataError, ParameterError, SimilarityUndefinedError
 from .merging import _aligned_layers
 
@@ -37,7 +40,7 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
         raise AlignmentError(f"vector lengths differ: {a.size} vs {b.size}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("cosine of a vector with non-finite values is undefined")
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    with one_thread(), np.errstate(over="ignore", under="ignore", invalid="ignore"):
         dots = np.dot(a, b), np.dot(a, a), np.dot(b, b)
         lost = (dots[1] < _TINY and a.any()) or (dots[2] < _TINY and b.any())
         if lost or not np.isfinite(dots).all():
@@ -94,8 +97,10 @@ def similarity_matrix(deltas: Sequence[DeltaMap], per_layer: bool = False) -> Si
     for name in _aligned_layers(deltas):
         layer = [d.layers[name].values.ravel() for d in deltas]
         dot = np.empty((n, n))
-        for i, j in pairs:  # one pair widened at a time
-            dot[i, j] = dot[j, i] = np.dot(layer[i].astype(np.float64), layer[j].astype(np.float64))
+        with one_thread():
+            for i, j in pairs:  # one pair widened at a time
+                a, b = layer[i].astype(np.float64), layer[j].astype(np.float64)
+                dot[i, j] = dot[j, i] = np.dot(a, b)
         dots.append(dot)
     total = sum(dots)
     values = np.empty((n, n), dtype=np.float64)

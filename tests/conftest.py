@@ -2,10 +2,12 @@ import json
 import math
 import os
 import struct
+import sys
 import threading
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import loramerge
 from loramerge import DeltaMap, LoraAdapter, TensorBlock
@@ -42,6 +44,17 @@ def failing_on_call(inner, number, error):
         return inner(*args)
 
     return wrapper
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every microsecond, so chunks interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def threads_started(monkeypatch) -> list:

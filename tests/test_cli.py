@@ -7,7 +7,9 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
+import types
 from pathlib import Path
 
 try:
@@ -522,7 +524,7 @@ class TestStepErrorInMerge:
             save_delta(delta, paths[-1])
         config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], seed=1)
         failing = failing_on_call(getattr(merging, target), 2, NumericalError("injected failure"))
-        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(container, "_WORKERS", 3)
         monkeypatch.setattr(merging, target, failing)
         before = threading.active_count()
         started = threads_started(monkeypatch)
@@ -581,7 +583,7 @@ class TestLowestChunkError:
             assert not out.exists()
 
     def test_names_the_lowest_chunk_input(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(merging, "_WORKERS", 2)
+        monkeypatch.setattr(container, "_WORKERS", 2)
         paths = self._paths(tmp_path)
         config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5)
         self._check(tmp_path, capsys, paths, config, f"{paths[2]}: tensor 'w.delta'", 20)
@@ -594,7 +596,7 @@ class TestLowestChunkError:
     def test_layer_filled_one_model_at_a_time_names_the_first_bad_input(
         self, tmp_path, capsys, monkeypatch, pipeline
     ):
-        monkeypatch.setattr(merging, "_WORKERS", 2)
+        monkeypatch.setattr(container, "_WORKERS", 2)
         paths = self._paths(tmp_path)
         config = _write_config(tmp_path / "cfg.json", pipeline, density=0.5)
         self._check(tmp_path, capsys, paths, config, f"{paths[0]}: tensor 'w.delta'", 10)
@@ -602,7 +604,7 @@ class TestLowestChunkError:
     def test_dare_overflow_in_a_lower_chunk_is_named_before_a_later_read_fault(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(merging, "_WORKERS", 2)
+        monkeypatch.setattr(container, "_WORKERS", 2)
         paths = self._paths(tmp_path, huge_first_row=True)
         config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], density=0.5)
         # en's first chunk overflows when pruned, before its last chunk is read
@@ -779,7 +781,7 @@ class TestStreamedMergeMemory:
         # one chunk worker: with two, the peak of one run swings by a chunk's
         # scratch with the thread schedule, more than the bound below; the
         # per-worker scratch is bounded by the DARE+TIES tracemalloc test
-        monkeypatch.setattr(merging, "_WORKERS", 1)
+        monkeypatch.setattr(container, "_WORKERS", 1)
         tmp_path, sets = inputs
         name = "-".join(pipeline)
         config = _write_config(tmp_path / f"{name}.json", pipeline, seed=3)
@@ -801,7 +803,7 @@ class TestStreamedMergeMemory:
 
     @pytest.mark.parametrize("pipeline", [["TIES"], ["DARE", "TIES"]], ids=["ties", "dare-ties"])
     def test_untrimmed_peak_does_not_grow_with_model_count(self, models, monkeypatch, pipeline):
-        monkeypatch.setattr(merging, "_WORKERS", 1)  # see the layer-count test
+        monkeypatch.setattr(container, "_WORKERS", 1)  # see the layer-count test
         tmp_path, paths = models
         name = "-".join(pipeline)
         extra = {"drop_rate": 0.5} if "DARE" in pipeline else {}
@@ -820,7 +822,7 @@ class TestStreamedMergeMemory:
         """An untrimmed DARE+TIES layer read from delta files is merged and
         written a slab at a time, so a layer four times larger adds less
         than one slab to the peak, where holding it would add three layers."""
-        monkeypatch.setattr(merging, "_WORKERS", 1)  # see the layer-count test
+        monkeypatch.setattr(container, "_WORKERS", 1)  # see the layer-count test
         monkeypatch.setattr(container, "_SLAB", 2 * merging._CHUNK)
         config = _write_config(
             tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=3
@@ -849,7 +851,7 @@ class TestStreamedMergeMemory:
         """Each model's DARE-pruned layer is formed when the KnOTS
         concatenation takes it and let go once copied in, as a layer read
         from a file is, so DARE adds less than half a layer to the peak."""
-        monkeypatch.setattr(merging, "_WORKERS", 1)
+        monkeypatch.setattr(container, "_WORKERS", 1)
         shape = (256, 384)
         paths = _delta_files(tmp_path, 2, shape)
         peaks = {}
@@ -917,21 +919,32 @@ def test_streamed_output_is_canonical_when_write_order_differs(tmp_path, refacto
         assert got.read() == want.read()
 
 
-def _merge_in_slabs(tmp_path, monkeypatch, workers, slab_chunks, shape):
+def _merge_in_slabs(tmp_path, monkeypatch, workers, slab_chunks, shape, writers=None):
     """Merge DARE+TIES, untrimmed, from delta files of ``shape`` layers to
     ``--out`` in slabs of ``slab_chunks`` chunks on up to ``workers``
     threads, check its bytes against the library merge's and return the
-    threads the CLI merge started."""
+    threads the CLI merge started; ``writers``, if given, gets the ident of
+    the thread of each range write the CLI merge made."""
     monkeypatch.setattr(container, "_SLAB", slab_chunks * merging._CHUNK)
-    monkeypatch.setattr(merging, "_WORKERS", workers)
+    monkeypatch.setattr(container, "_WORKERS", workers)
     paths = _delta_files(tmp_path, layers=2, shape=shape)
     config = _write_config(
         tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=7
     )
     out = str(tmp_path / "merged.tnsr")
     started = threads_started(monkeypatch)
+    if writers is not None:
+        write_at = container._write_at
+
+        def recorded(*args):
+            writers.append(threading.get_ident())
+            write_at(*args)
+
+        monkeypatch.setattr(container, "_write_at", recorded)
     assert run(["merge", "--config", config, "--out", out, *paths]) == 0
     started = list(started)  # the library merge below starts its own
+    if writers is not None:
+        monkeypatch.setattr(container, "_write_at", write_at)
     merged = merge(
         [load_delta(path) for path in paths],
         MergeConfig(("DARE", "TIES"), 1.0, drop_rate=0.5, seed=7),
@@ -947,15 +960,109 @@ def _merge_in_slabs(tmp_path, monkeypatch, workers, slab_chunks, shape):
 def test_layer_written_in_slabs_equals_the_library_merge(tmp_path, monkeypatch, workers):
     """An untrimmed DARE+TIES layer of two slabs and a ragged tail, written
     a slab at a time from the delta files, has the bytes of the whole
-    merged layer."""
-    # 309000 entries: slabs of 131072 and a tail of 46856, each on one thread
-    assert not _merge_in_slabs(tmp_path, monkeypatch, workers, 2, (515, 600))
+    merged layer; with two workers, a helper thread writes slabs of it."""
+    # 309000 entries: slabs of 131072 and a tail of 46856, taken by the workers
+    writers = []
+    started = _merge_in_slabs(tmp_path, monkeypatch, workers, 2, (515, 600), writers)
+    assert len(writers) == 2 * 3  # two layers
+    assert bool(started) == (workers > 1)
+    assert (set(writers) != {threading.get_ident()}) == (workers > 1)
 
 
 def test_layer_written_in_slabs_on_two_threads_equals_the_library_merge(tmp_path, monkeypatch):
     """The same, in slabs that two threads share."""
     # 618000 entries: slabs of 262144 and a tail of 93712
     assert _merge_in_slabs(tmp_path, monkeypatch, 2, 4, (515, 1200))
+
+
+class TestStreamedWriters:
+    """An untrimmed DARE+TIES merge of delta files is written by the chunk
+    workers: each merges the ranges it takes from the inputs and writes them
+    at their offsets, with as many threads as any merge step would use."""
+
+    CONFIG = {"density": 1.0, "drop_rate": 0.5, "seed": 7}
+
+    def _merge(self, tmp_path, paths, name="merged.tnsr"):
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], **self.CONFIG)
+        out = tmp_path / name
+        return run(["merge", "--config", config, "--out", str(out), *paths]), out
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize(
+        "shape", [(515, 600), (7, 300)], ids=["ragged-tail", "below-a-chunk"]
+    )
+    def test_bytes_equal_the_library_merge(self, tmp_path, monkeypatch, workers, shape):
+        paths = _delta_files(tmp_path, layers=2, shape=shape)
+        monkeypatch.setattr(container, "_WORKERS", 1)
+        expected = tmp_path / "expected.tnsr"
+        config = MergeConfig(("DARE", "TIES"), **self.CONFIG)
+        save_delta(merge([load_delta(path) for path in paths], config), str(expected))
+        monkeypatch.setattr(container, "_WORKERS", workers)
+        before = threading.active_count()
+        started = threads_started(monkeypatch)
+        code, out = self._merge(tmp_path, paths)
+        assert code == 0
+        assert threading.active_count() == before
+        # 309000 entries: five chunks, two threads; 2100 entries: one
+        assert bool(started) == (workers > 1 and shape == (515, 600))
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_no_thread_outlives_a_failed_merge(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(container, "_WORKERS", 3)
+        paths = _delta_files(tmp_path, layers=2, shape=(515, 600))
+        header = read_header(paths[1])
+        with open(paths[1], "r+b") as fh:  # the last entry of de's first layer
+            (header_len,) = struct.unpack("<Q", fh.read(8))
+            fh.seek(8 + header_len + header["l0.delta"]["data_offsets"][1] - 4)
+            fh.write(np.float32(np.nan).tobytes())
+        before = threading.active_count()
+        started = threads_started(monkeypatch)
+        assert self._merge(tmp_path, paths)[0] == 1
+        assert capsys.readouterr().err == (
+            f"error[data]: {paths[1]}: tensor 'l0.delta' contains non-finite values\n"
+        )
+        assert started and threading.active_count() == before
+        assert not (tmp_path / "merged.tnsr").exists()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_at_most_workers_threads_run_steps(self, tmp_path, monkeypatch, workers):
+        """With ranges of four chunks, each range's merge runs on the thread
+        that writes it: no more than ``_WORKERS`` threads run chunk steps."""
+        monkeypatch.setattr(container, "_WORKERS", workers)
+        monkeypatch.setattr(container, "_SLAB", 4 * merging._CHUNK)
+        lock = threading.Lock()
+        running, counts = set(), []
+        disjoint = merging._disjoint
+
+        def counted(*args):
+            with lock:
+                running.add(threading.get_ident())
+                counts.append(len(running))
+            try:
+                time.sleep(0.002)  # so that the threads' steps overlap
+                return disjoint(*args)
+            finally:
+                with lock:
+                    running.discard(threading.get_ident())
+
+        monkeypatch.setattr(merging, "_disjoint", counted)
+        # 618000 entries a layer: ten chunks, three ranges
+        paths = _delta_files(tmp_path, layers=2, shape=(515, 1200))
+        before = threading.active_count()
+        assert self._merge(tmp_path, paths)[0] == 0
+        assert threading.active_count() == before
+        assert 1 < max(counts) <= workers
+
+    def test_streamed_layer_peak_holds_no_slab(self, tmp_path, monkeypatch):
+        """One 1024x4096 layer (16 MiB) of three delta files, on one worker:
+        the writer holds one merged chunk and the chunk step's scratch, less
+        than a quarter of the layer, which a 4 MiB slab alone would fill."""
+        monkeypatch.setattr(container, "_WORKERS", 1)
+        paths = _delta_files(tmp_path, layers=1, shape=(1024, 4096))
+        config = _write_config(tmp_path / "cfg.json", ["DARE", "TIES"], **self.CONFIG)
+        argv = ["merge", "--config", config, "--out", str(tmp_path / "merged.tnsr"), *paths]
+        peak = TestStreamedMergeMemory._peak(argv)
+        assert peak < 1024 * 4096, peak
 
 
 class TestAtomicOut:
@@ -1073,6 +1180,62 @@ class TestAtomicOut:
         ]
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.skipif(resource is None, reason="needs POSIX resource limits")
+    def test_write_failing_while_a_helper_writes_leaves_no_file(self, tmp_path):
+        """The same merge, untrimmed, in ranges of one chunk on two workers:
+        the helper writes some of them, and the write past 768 KB fails
+        with the one ``error[io]`` line and leaves no file."""
+        rng = np.random.default_rng(83)
+        paths = []
+        for label in ("en", "de", "fr"):
+            delta = DeltaMap.from_arrays(
+                {"w": rng.standard_normal((512, 600)).astype(np.float32)}, label=label
+            )
+            paths.append(str(tmp_path / f"{label}.tnsr"))
+            save_delta(delta, paths[-1])
+        config = _write_config(
+            tmp_path / "cfg.json", ["DARE", "TIES"], density=1.0, drop_rate=0.5, seed=1
+        )
+        (tmp_path / "side").mkdir()
+        count = tmp_path / "side" / "helper-writes"
+        before = sorted(os.listdir(tmp_path))
+        out = str(tmp_path / "merged.tnsr")
+        child = textwrap.dedent(
+            """
+            import atexit, sys, threading
+            from loramerge import cli, container
+            container._WORKERS = 2
+            helper_writes = []
+            write_at = container._write_at
+
+            def recorded(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    helper_writes.append(args[2])
+                write_at(*args)
+
+            container._write_at = recorded
+            count = sys.argv.pop(1)
+            atexit.register(lambda: open(count, "w").write(str(len(helper_writes))))
+            cli.main()
+            """
+        )
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (3 << 18, 3 << 18))
+
+        result = subprocess.run(
+            [sys.executable, "-c", child, str(count), "merge", "--config", config, "--out", out]
+            + paths,
+            capture_output=True,
+            text=True,
+            preexec_fn=limit_file_size,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"error[io]: cannot write {out}: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}"
+        ]
+        assert sorted(os.listdir(tmp_path)) == before
+        assert int(count.read_text()) > 0
 
     @pytest.mark.parametrize("command", ["similarity", "cost", "metrics"])
     def test_failed_report_write_leaves_target_and_no_temp_file(
@@ -1659,3 +1822,28 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "loramerge" in capsys.readouterr().out
+
+
+class TestSteadyHeap:
+    """``cli.main`` fixes glibc's mmap and trim thresholds before it runs a
+    command, so a chunk step's freed scratch stays in the heap."""
+
+    def test_both_thresholds_are_set(self, monkeypatch):
+        from loramerge import cli
+
+        calls = []
+
+        def mallopt(option, value):
+            calls.append((option, value))
+            return 1
+
+        libc = types.SimpleNamespace(mallopt=mallopt)
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._steady_heap()
+        assert calls == [(-3, 16 << 20), (-1, 8 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def test_a_c_library_without_mallopt_is_left_as_it_is(self, monkeypatch):
+        from loramerge import cli
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._steady_heap()

@@ -4,6 +4,8 @@ import os
 import re
 import stat
 import struct
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from loramerge import container, merging
 from loramerge.adapters import PendingBlock
 from loramerge.container import TensorFile
 from loramerge.errors import ParameterError
-from conftest import write_raw_container
+from conftest import threads_started, write_raw_container
 
 
 def _payload(*arrays):
@@ -620,3 +622,124 @@ class TestReadRange:
                 source.read_range("b.delta", start, stop)
         finally:
             source.close()
+
+    def test_threads_reading_interleaved_ranges_get_the_serial_bytes(
+        self, tmp_path, fast_switching
+    ):
+        """Reads go by position, so two threads reading alternate ranges of
+        one open file, and the whole tensor between them, get the bytes that
+        the same reads give one after another."""
+        path = str(tmp_path / "t.tnsr")
+        self._write(path, self._values())
+        size = math.prod(self.SHAPE)
+        ranges = [(start, min(start + 777, size)) for start in range(0, size, 777)]
+        source = TensorFile(path)
+        try:
+            serial = [source.read_range("b.delta", *r).tobytes() for r in ranges]
+            whole = source.read("b.delta").tobytes()
+            got: dict[int, bytes] = {}
+            wholes = []
+            barrier = threading.Barrier(2)
+
+            def reader(first):
+                barrier.wait()
+                for i in range(first, len(ranges), 2):
+                    got[i] = source.read_range("b.delta", *ranges[i]).tobytes()
+                    if i % 50 == first:
+                        wholes.append(source.read("b.delta").tobytes())
+
+            threads = [threading.Thread(target=reader, args=(k,)) for k in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            source.close()
+        assert [got[i] for i in range(len(ranges))] == serial
+        assert wholes and all(w == whole for w in wholes)
+
+
+class TestRangeWriters:
+    """The writer's ranges are formed and written at their offsets by the
+    chunk workers (``container._for_chunks``)."""
+
+    SHAPE = (8, merging._CHUNK)  # eight ranges of one chunk: two threads take them
+
+    def test_ranges_written_by_the_workers_give_the_layout_bytes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(container, "_WORKERS", 2)
+        values = np.random.default_rng(9).standard_normal(self.SHAPE).astype(np.float32)
+        # each range takes a moment, so the helper takes some of them
+        block = PendingBlock(
+            "w", self.SHAPE, lambda: values, lambda a, b: time.sleep(0.002) or values.ravel()[a:b]
+        )
+        writers = set()
+        write_at = container._write_at
+
+        def recorded(*args):
+            writers.add(threading.get_ident())
+            write_at(*args)
+
+        monkeypatch.setattr(container, "_write_at", recorded)
+        before = threading.active_count()
+        started = threads_started(monkeypatch)
+        write_tensors(str(tmp_path / "w.tnsr"), {"w": block, "a": np.ones((2, 3))})
+        assert threading.active_count() == before
+        assert len(started) == 1 and len(writers) == 2
+        header = {
+            "a": {"dtype": "F32", "shape": [2, 3], "data_offsets": [0, 24]},
+            "w": {"dtype": "F32", "shape": list(self.SHAPE), "data_offsets": [24, 24 + values.nbytes]},
+        }
+        layout = tmp_path / "layout.tnsr"
+        write_raw_container(str(layout), header, _payload(np.ones((2, 3)), values))
+        assert (tmp_path / "w.tnsr").read_bytes() == layout.read_bytes()
+
+    def test_eight_workers_write_every_range_once(self, tmp_path, monkeypatch, fast_switching):
+        """More writers than cores, switching often: each range is written
+        once, at its own offset, and the file has the layout's bytes."""
+        monkeypatch.setattr(container, "_WORKERS", 8)
+        monkeypatch.setattr(container, "_SLAB", merging._CHUNK // 4 + 1)
+        shape = (20, merging._CHUNK)  # twenty chunks: eight threads
+        values = np.random.default_rng(10).standard_normal(shape).astype(np.float32)
+        starts = []
+        block = PendingBlock(
+            "w", shape, lambda: values, lambda a, b: starts.append(a) or values.ravel()[a:b]
+        )
+        before = threading.active_count()
+        started = threads_started(monkeypatch)
+        write_tensors(str(tmp_path / "w.tnsr"), {"w": block})
+        assert threading.active_count() == before and len(started) == 7
+        assert sorted(starts) == list(range(0, values.size, merging._CHUNK // 4 + 1))
+        assert read_tensors(str(tmp_path / "w.tnsr"))[0]["w"].tobytes() == values.tobytes()
+
+    def test_error_of_the_lowest_failing_range_is_raised(self, tmp_path, monkeypatch):
+        """The range at ``2 * _CHUNK`` fails at once and the one at ``_CHUNK``
+        after a sleep, on the other thread: the ``_CHUNK`` error is raised on
+        every run, no thread outlives the write and no file is left."""
+        monkeypatch.setattr(container, "_WORKERS", 2)
+        chunk = merging._CHUNK
+
+        def part(start, stop):
+            if start == chunk:
+                time.sleep(0.02)
+                raise DataError(f"range {start}")
+            if start == 2 * chunk:
+                raise DataError(f"range {start}")
+            return np.zeros(stop - start, np.float32)
+
+        block = PendingBlock("w", self.SHAPE, lambda: np.zeros(self.SHAPE, np.float32), part)
+        before = threading.active_count()
+        for _ in range(10):
+            with pytest.raises(DataError, match=f"^range {chunk}$"):
+                write_tensors(str(tmp_path / "w.tnsr"), {"w": block})
+            assert threading.active_count() == before
+            assert os.listdir(tmp_path) == []
+
+    def test_short_writes_are_completed(self, tmp_path, monkeypatch):
+        """``pwrite`` may write less than it is given; the rest is written
+        after it, at the offset that follows."""
+        pwrite = os.pwrite
+        monkeypatch.setattr(os, "pwrite", lambda fd, data, at: pwrite(fd, data[:5], at))
+        values = np.arange(35, dtype=np.float32).reshape(5, 7)
+        write_tensors(str(tmp_path / "w.tnsr"), {"w": values})
+        assert read_tensors(str(tmp_path / "w.tnsr"))[0]["w"].tobytes() == values.tobytes()

@@ -2,7 +2,6 @@ import collections
 import hashlib
 import math
 import re
-import sys
 import threading
 import time
 import tracemalloc
@@ -641,6 +640,67 @@ class TestDisjointMerge:
         assert (merged[picked] <= hi[picked] + 1e-6).all()
 
 
+def _float_disjoint(values, signs, weights):
+    """The disjoint mean with a float64 denominator summed from the weights
+    for every weight vector: the route of weights other than all 1."""
+    numer = np.zeros(signs.shape, dtype=np.float64)
+    denom = np.zeros(signs.shape, dtype=np.float64)
+    unit = signs.astype(np.float32)
+    for w, v in zip(weights, values):
+        match = v * unit > 0
+        carried = np.where(match, v, np.float32(0.0))
+        numer += carried.astype(np.float64) * w
+        denom += match * w
+    denom[denom == 0] = 1.0
+    return (numer / denom).astype(np.float32)
+
+
+class TestDisjointCount:
+    """With every weight 1, ``_disjoint`` divides by the count of matching
+    models, kept in an integer array; it gives the float route's bytes."""
+
+    @staticmethod
+    def _values(rng, models, size=3000):
+        values = rng.standard_normal((models, size)).astype(np.float32)
+        values[:, ::7] = 0.0
+        values[:, 3::11] = -0.0
+        values[:, 5::13] = np.abs(values[:, 5::13]) + 0.5  # every model carries +
+        return list(values)
+
+    @pytest.mark.parametrize("models", [1, 3, 300])
+    def test_count_route_equals_the_float_route(self, models):
+        rng = np.random.default_rng(models)
+        values = self._values(rng, models)
+        weights = np.ones(models)
+        signs = _elect(values, weights)
+        got = _disjoint(values, signs, weights)
+        assert got.tobytes() == _float_disjoint(values, signs, weights).tobytes()
+        # every model matches there, so the count reaches ``models``: one
+        # kept in a uint8 would wrap at 256
+        total = np.zeros(got[5::13].shape)
+        for v in values:
+            total += v[5::13]
+        assert got[5::13].tobytes() == (total / models).astype(np.float32).tobytes()
+
+    def test_negative_zeros_and_unmatched_entries_give_positive_zero(self):
+        values = [
+            np.array([-0.0, -0.0, 2.0, -3.0], np.float32),
+            np.array([-0.0, 1.0, 4.0, -1.0], np.float32),
+        ]
+        signs = np.array([1, -1, -1, 1], np.int8)  # no model matches any entry
+        got = _disjoint(values, signs, np.ones(2))
+        assert got.view(np.uint32).tolist() == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.5, 2.0), (1.0, 1.0, 3.0), (0.25, 1.0, 1.0)])
+    def test_weights_mixing_one_and_others_take_the_float_route(self, weights):
+        rng = np.random.default_rng(17)
+        values = self._values(rng, 3)
+        weights = np.asarray(weights)
+        signs = _elect(values, weights)
+        got = _disjoint(values, signs, weights)
+        assert got.tobytes() == _float_disjoint(values, signs, weights).tobytes()
+
+
 class TestTiesMerge:
     def test_single_input_density_one_identity(self):
         rng = np.random.default_rng(33)
@@ -1064,17 +1124,6 @@ def test_merge_never_writes_its_inputs(source, pipeline):
     assert [a.tobytes() for a in arrays] == before
 
 
-@pytest.fixture
-def fast_switching():
-    """Switch threads every microsecond, so chunks interleave finely."""
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(interval)
-
-
 class TestWorkerCounts:
     """The chunked steps run on every allowed core; the bytes must not depend
     on how many threads take the chunks, nor on which thread takes which."""
@@ -1116,7 +1165,7 @@ class TestWorkerCounts:
         config = MergeConfig(pipeline, density=density, seed=13)
         outputs = []
         for workers in self.WORKERS:
-            monkeypatch.setattr(merging, "_WORKERS", workers)
+            monkeypatch.setattr(container, "_WORKERS", workers)
             started = threads_started(monkeypatch)
             out = merge(deltas, config)
             outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
@@ -1127,7 +1176,7 @@ class TestWorkerCounts:
         for delta in self._deltas():
             outputs = []
             for workers in self.WORKERS:
-                monkeypatch.setattr(merging, "_WORKERS", workers)
+                monkeypatch.setattr(container, "_WORKERS", workers)
                 started = threads_started(monkeypatch)
                 out = dare_prune(delta, 0.3, seed=17)
                 outputs.append({name: b.values.tobytes() for name, b in out.layers.items()})
@@ -1135,7 +1184,7 @@ class TestWorkerCounts:
             assert all(out == outputs[0] for out in outputs)
 
     def test_every_chunk_runs_once_over_several_threads(self, monkeypatch, fast_switching):
-        monkeypatch.setattr(merging, "_WORKERS", 8)
+        monkeypatch.setattr(container, "_WORKERS", 8)
         size = 40 * merging._CHUNK + 3
         before = threading.active_count()
         starts, threads = [], set()
@@ -1153,7 +1202,7 @@ class TestWorkerCounts:
     def test_overflow_on_a_helper_thread_is_a_data_error(self, monkeypatch, fast_switching):
         # numpy's error state does not carry over to new threads: a step must
         # silence the overflowing cast itself, on whichever thread it runs
-        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(container, "_WORKERS", 3)
         big = DeltaMap.from_arrays({"w": np.full((8, merging._CHUNK), 3e38, np.float32)})
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1165,9 +1214,9 @@ class TestWorkerCounts:
         # the threads already running take the remaining chunks
         deltas = self._deltas()
         config = MergeConfig(("DARE", "TIES"), density=0.5, seed=13)
-        monkeypatch.setattr(merging, "_WORKERS", 1)
+        monkeypatch.setattr(container, "_WORKERS", 1)
         expected = {n: b.values.tobytes() for n, b in merge(deltas, config).layers.items()}
-        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(container, "_WORKERS", 3)
         before = threading.active_count()
         started = threads_started(monkeypatch)
         error = RuntimeError("can't start new thread")
@@ -1182,13 +1231,13 @@ class TestWorkerCounts:
 
     @pytest.mark.parametrize("chunks, helpers", [(1, 0), (2, 0), (3, 0), (4, 1), (5, 1), (7, 2)])
     def test_a_thread_for_every_two_chunks(self, monkeypatch, chunks, helpers):
-        monkeypatch.setattr(merging, "_WORKERS", 8)
+        monkeypatch.setattr(container, "_WORKERS", 8)
         started = threads_started(monkeypatch)
         merging._for_chunks(lambda start: None, (chunks - 1) * merging._CHUNK + 1)
         assert len(started) == helpers
 
     def test_one_chunk_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(merging, "_WORKERS", 8)
+        monkeypatch.setattr(container, "_WORKERS", 8)
         threads = []
         merging._for_chunks(lambda start: threads.append(threading.get_ident()), merging._CHUNK)
         assert threads == [threading.get_ident()]
@@ -1206,7 +1255,7 @@ class TestStepErrors:
     def _merge_fails(monkeypatch, capfd, target, shape):
         """Merge layers of ``shape`` on up to three threads with the second
         call of ``target`` failing; the threads that were started."""
-        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(container, "_WORKERS", 3)
         # the second call is one chunk past the first
         failing = failing_on_call(getattr(merging, target), 2, _Injected(target))
         monkeypatch.setattr(merging, target, failing)
@@ -1228,7 +1277,7 @@ class TestStepErrors:
         assert self._merge_fails(monkeypatch, capfd, target, TestChunkBoundaries.WIDE)
 
     def test_first_error_stops_the_other_workers(self, monkeypatch):
-        monkeypatch.setattr(merging, "_WORKERS", 3)
+        monkeypatch.setattr(container, "_WORKERS", 3)
         size = 200 * merging._CHUNK
         before = threading.active_count()
         ran = []
@@ -1249,7 +1298,7 @@ class TestStepErrors:
         after a sleep, on another thread: every chunk below a failing one
         has run when the error is raised, so it is the ``_CHUNK`` error on
         every run."""
-        monkeypatch.setattr(merging, "_WORKERS", 2)
+        monkeypatch.setattr(container, "_WORKERS", 2)
 
         def step(start):
             if start == merging._CHUNK:

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -302,3 +307,35 @@ class TestGoldenBytes:
         assert capsys.readouterr().err == ""
         stem = kind + ("-per-layer" if flag else "")
         assert out.read_bytes() == (GOLDEN / f"{stem}.csv").read_bytes()
+
+
+def test_scores_do_not_follow_the_blas_thread_count():
+    """Above OpenBLAS's threading threshold a dot product's sum is split,
+    and rounded, by the thread count; every product runs on one thread, so
+    ``cosine`` and both matrices give the same bits at 1 and 2 threads."""
+    code = textwrap.dedent(
+        """
+        import json
+        import numpy as np
+        from loramerge import DeltaMap, cosine, similarity_matrix
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((2, 1 << 20)).astype(np.float32)
+        deltas = [
+            DeltaMap.from_arrays({"w": x.reshape(1024, 1024)}, label)
+            for x, label in zip((a, b), "ab")
+        ]
+        scores = [cosine(a, b)]
+        for per_layer in (False, True):
+            scores += similarity_matrix(deltas, per_layer=per_layer).values.ravel().tolist()
+        print(json.dumps([float(x).hex() for x in scores]))
+        """
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(json.loads(done.stdout))
+    assert outputs[0] == outputs[1]
